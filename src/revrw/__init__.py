@@ -86,6 +86,7 @@ from .transform import (
     injectivize,
     injectivize_improved,
     invert,
+    is_injectivized,
     range_disjoint,
     remove_fail,
     remove_unify,

@@ -19,18 +19,24 @@ from .reversible import (
     forward_run,
     parse_trace,
 )
-from .rewrite import Bounds, normalize
+from .rewrite import DEFAULT_BOUNDS, STRATEGIES, Bounds, normalize
 from .systems import RewriteSystem, format_system, parse_system, parse_term, parse_terms, validate
 from .terms import format_term
-from .transform import injectivize, injectivize_improved, invert, to_pcdctrs, view_update
+from .transform import (
+    injectivize,
+    injectivize_improved,
+    invert,
+    is_injectivized,
+    to_pcdctrs,
+    view_update,
+)
 
 _PROPERTIES = ("3ctrs", "dctrs", "constructor", "pcdctrs")
-_STRATEGIES = ("any", "innermost", "constructor", "top")
 
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=10000, metavar="N")
-    p.add_argument("--max-depth", type=int, default=100, metavar="N")
+    p.add_argument("--max-steps", type=int, default=DEFAULT_BOUNDS.max_steps, metavar="N")
+    p.add_argument("--max-depth", type=int, default=DEFAULT_BOUNDS.max_depth, metavar="N")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -52,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewrite", help="normalize a term (no trace)")
     _add_common(p)
     p.add_argument("--term", required=True)
-    p.add_argument("--strategy", choices=_STRATEGIES)
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--steps", default="normal", metavar="N|normal")
     _add_bounds(p)
 
@@ -60,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--term", required=True)
     p.add_argument("--trace", default="[]", help="resume from this trace")
-    p.add_argument("--strategy", choices=_STRATEGIES)
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--steps", default="normal", metavar="N|normal")
     _add_bounds(p)
 
@@ -124,14 +130,6 @@ def _default_strategy(system: RewriteSystem, chosen: str | None) -> str:
     return "constructor" if system.is_pcdctrs else "innermost"
 
 
-def _is_injectivized(system: RewriteSystem) -> bool:
-    from .transform import _injective_shape
-
-    return bool(system.rules) and all(
-        _injective_shape(r) is not None for r in system.rules
-    )
-
-
 def _transform_chain(system: RewriteSystem, improved: bool):
     """(pcDCTRS, forward system, backward system) for an original input."""
     pc, _ = to_pcdctrs(system)
@@ -192,7 +190,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command in ("flatten", "injectivize", "invert", "pipeline"):
         if args.command == "invert":
             system = _read_system(args.file, allow_reserved=True)
-            if _is_injectivized(system):
+            if is_injectivized(system):
                 _emit(format_system(invert(system)), args.output)
                 return 0
         # Transforming commands generate reserved names, so their input must

@@ -22,7 +22,7 @@ from .errors import (
     UnknownLabel,
     UnsafePair,
 )
-from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, first_step, step
+from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
 from .systems import RewriteSystem, Rule, TokenStream, tokenize, _TermParser
 from .terms import (
     Position,
@@ -184,16 +184,21 @@ def forward_run(
     """Iterate forward_step. steps=None runs to a normal form (at most
     bounds.max_steps top-level steps)."""
     _require_safe(system, pair)
-    n = 0
-    while steps is None or n < steps:
-        if steps is None and n >= bounds.max_steps:
+    if steps is not None and steps <= 0:
+        return pair
+    term = pair.term
+    recorded: list[TraceTerm] = []
+    for witness in derivation(system, term, strategy, bounds):
+        term = witness.result
+        recorded.append(witness_trace_term(system, witness))
+        if len(recorded) == steps:
+            break
+        if steps is None and len(recorded) >= bounds.max_steps:
             raise BoundExceeded("forward run exceeded the step bound")
-        try:
-            pair = _forward(system, pair, strategy, bounds)
-        except NoStep:
-            return pair
-        n += 1
-    return pair
+    if not recorded:
+        return pair
+    recorded.reverse()
+    return Pair(term, (*recorded, *pair.trace))
 
 
 def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
@@ -381,11 +386,11 @@ def _parse_trace_term(stream: TokenStream) -> TraceTerm:
 
 
 def _parse_pos(stream: TokenStream) -> Position:
-    text = stream.expect("IDENT").text
+    parts = [stream.expect("IDENT").text]
     while stream.at("DOT"):
         stream.next()
-        text += "." + stream.expect("IDENT").text
-    return parse_position(text)
+        parts.append(stream.expect("IDENT").text)
+    return parse_position(".".join(parts))
 
 
 def _parse_subst(stream: TokenStream) -> Subst:

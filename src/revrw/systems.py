@@ -17,6 +17,7 @@ are optional bracket suffixes; unlabeled rules get b1..bn in textual order.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -148,6 +149,14 @@ class RewriteSystem:
         self.signature: dict[str, Symbol] = signature
         self.defined_symbols: frozenset[str] = frozenset(defined)
         self._by_label = {r.label: r for r in self.rules}
+        by_root: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            by_root.setdefault(r.lhs.symbol.name, []).append(r)
+        # Root-symbol index (Graf, Term Indexing, 1996): the rules whose lhs
+        # root is the given symbol, in textual order.
+        self.rules_by_root: dict[str, tuple[Rule, ...]] = {
+            name: tuple(rs) for name, rs in by_root.items()
+        }
 
     def rule_by_label(self, label: str) -> Rule | None:
         return self._by_label.get(label)
@@ -292,12 +301,44 @@ def _check_pure_constructor(rule: Rule) -> Iterator[str]:
 # Lexing (shared with the trace syntax in the reversible module)
 
 
-@dataclass(frozen=True, slots=True)
+class _Lines:
+    """Line and column of an offset into a text, from the text's newline
+    offsets, which are found on first use."""
+
+    __slots__ = ("text", "_breaks")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._breaks: list[int] | None = None
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        if self._breaks is None:
+            self._breaks = [m.start() for m in re.finditer("\n", self.text)]
+        k = bisect_left(self._breaks, offset)
+        start = self._breaks[k - 1] + 1 if k else 0
+        return k + 1, offset - start + 1
+
+
 class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    """A lexeme and its offset in the source; line and column (1-based) are
+    worked out only when asked for. A token the parser makes itself (no
+    source) reports line 0, column 0."""
+
+    __slots__ = ("kind", "text", "offset", "lines")
+
+    def __init__(self, kind: str, text: str, offset: int, lines: _Lines | None):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.lines = lines
+
+    @property
+    def line(self) -> int:
+        return self.lines.locate(self.offset)[0] if self.lines else 0
+
+    @property
+    def column(self) -> int:
+        return self.lines.locate(self.offset)[1] if self.lines else 0
 
 
 _TOKEN_RE = re.compile(
@@ -315,30 +356,23 @@ _TOKEN_RE = re.compile(
     | (?P<RBRACE>\})
     | (?P<COMMA>,)
     | (?P<DOT>\.)
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
 
 def tokenize(text: str) -> list[Token]:
+    lines = _Lines(text)
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        assert kind is not None
-        if kind != "WS":
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-        nl = text.count("\n", m.start(), m.end())
-        if nl:
-            line += nl
-            line_start = text.rfind("\n", m.start(), m.end()) + 1
-        pos = m.end()
+        if kind == "WS":
+            continue
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", *lines.locate(m.start()))
+        append(Token(kind, m.group(), m.start(), lines))
     return tokens
 
 
@@ -351,16 +385,16 @@ class TokenStream:
         return self._tokens[self._i] if self._i < len(self._tokens) else None
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        i = self._i
+        if i >= len(self._tokens):
             last = self._tokens[-1] if self._tokens else None
             raise ParseError(
                 "unexpected end of input",
                 last.line if last else 1,
                 last.column if last else 1,
             )
-        self._i += 1
-        return tok
+        self._i = i + 1
+        return self._tokens[i]
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
@@ -370,8 +404,8 @@ class TokenStream:
         return tok
 
     def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
+        i = self._i
+        return i < len(self._tokens) and self._tokens[i].kind == kind
 
 
 RESERVED_VARIABLE_PREFIX = "_"
@@ -456,9 +490,9 @@ class _TermParser:
                 self.stream.next()
                 items.append(self.parse())
         self.stream.expect("RBRACK")
-        nil = App(self._symbol(Token("IDENT", "nil", 0, 0), 0), ())
+        nil = App(self._symbol(Token("IDENT", "nil", 0, None), 0), ())
         out: Term = nil
-        cons = self._symbol(Token("IDENT", "cons", 0, 0), 2)
+        cons = self._symbol(Token("IDENT", "cons", 0, None), 2)
         for item in reversed(items):
             out = App(cons, (item, out))
         return out

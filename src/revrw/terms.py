@@ -55,15 +55,20 @@ class App:
     ground: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.symbol.arity:
+        args = self.args
+        if not isinstance(args, tuple):
+            args = tuple(args)
+            object.__setattr__(self, "args", args)
+        if len(args) != self.symbol.arity:
             raise ValueError(
-                f"symbol {self.symbol!r} applied to {len(self.args)} arguments"
+                f"symbol {self.symbol!r} applied to {len(args)} arguments"
             )
-        object.__setattr__(
-            self, "ground", all(is_ground(a) for a in self.args)
-        )
+        ground = True
+        for a in args:
+            if not (isinstance(a, App) and a.ground):
+                ground = False
+                break
+        object.__setattr__(self, "ground", ground)
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -156,14 +161,19 @@ def subterm(t: Term, p: Position) -> Term:
 
 
 def replace(t: Term, p: Position, u: Term) -> Term:
+    """t with u planted at p: a copy of the path from the root to p."""
     if not p:
         return u
-    i = p[0]
-    if not isinstance(t, App) or not 1 <= i <= len(t.args):
-        raise InvalidPosition(f"position {format_position(p)} not in {format_term(t)}")
-    args = list(t.args)
-    args[i - 1] = replace(args[i - 1], p[1:], u)
-    return App(t.symbol, tuple(args))
+    path: list[App] = []
+    for i in p:
+        if not isinstance(t, App) or not 1 <= i <= len(t.args):
+            rest = p[len(path):]
+            raise InvalidPosition(f"position {format_position(rest)} not in {format_term(t)}")
+        path.append(t)
+        t = t.args[i - 1]
+    for node, i in zip(reversed(path), reversed(p)):
+        u = App(node.symbol, node.args[: i - 1] + (u,) + node.args[i:])
+    return u
 
 
 def parse_position(text: str) -> Position:

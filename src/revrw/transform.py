@@ -409,6 +409,14 @@ def invert(system: RewriteSystem) -> RewriteSystem:
     return RewriteSystem(new_rules)
 
 
+def is_injectivized(system: RewriteSystem) -> bool:
+    """True iff the system has rules and every rule has the shape that
+    injectivize produces, so that invert accepts it."""
+    return bool(system.rules) and all(
+        _injective_shape(r) is not None for r in system.rules
+    )
+
+
 def _invert_rule(rule: Rule) -> Rule:
     shape = _injective_shape(rule)
     if shape is None:

@@ -12,18 +12,30 @@ import itertools
 
 from revrw import (
     App,
+    BoundExceeded,
     Bounds,
+    NotGround,
     Pair,
+    PreconditionViolated,
     RewriteSystem,
     Rule,
+    StepWitness,
     Subst,
     Term,
+    UnsafePair,
     Var,
     forward_successors,
+    is_safe,
+    format_term,
+    is_ground,
+    match,
+    replace,
     step,
     term_vars,
 )
-from revrw.terms import CONSTRUCTOR
+from revrw.reversible import witness_trace_term
+from revrw.rewrite import STRATEGIES
+from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
 
@@ -144,6 +156,21 @@ def ground_unifiers(s: Term, t: Term, universe: list[Term]) -> list[Subst]:
     return out
 
 
+def same_term(a: Term, b: Term) -> bool:
+    """Structural equality without recursion, for terms too deep for ==."""
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        if isinstance(u, Var) or isinstance(v, Var):
+            if u != v:
+                return False
+        elif u.symbol != v.symbol:
+            return False
+        else:
+            stack.extend(zip(u.args, v.args))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Structural comparison modulo per-rule variable renaming
 
@@ -176,3 +203,148 @@ def systems_isomorphic(a: RewriteSystem, b: RewriteSystem) -> bool:
     return len(a.rules) == len(b.rules) and all(
         rules_isomorphic(x, y) for x, y in zip(a.rules, b.rules)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference rewriting engine: a recursive walk from the root on every step
+#
+# This is the engine the library's resumable search replaced. It tries every
+# rule at every defined node, rebuilds the whole term with `replace`, and
+# calls `ref_first_step` once per step of a forward run. Its step order,
+# witnesses, bound checks and error messages are the specification the
+# library engine is tested against.
+
+
+class _RefBudget:
+    def __init__(self, bounds: Bounds):
+        self.steps_left = bounds.max_steps
+        self.max_depth = bounds.max_depth
+
+    def spend(self) -> None:
+        if self.steps_left <= 0:
+            raise BoundExceeded("step bound exceeded")
+        self.steps_left -= 1
+
+    def check_depth(self, depth: int) -> None:
+        if depth > self.max_depth:
+            raise BoundExceeded("condition evaluation depth bound exceeded")
+
+
+def _ref_check(term: Term, strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if not is_ground(term):
+        raise NotGround(f"cannot rewrite non-ground term {format_term(term)}")
+
+
+def _ref_solve(system, rule, sigma0, strategy, budget, depth):
+    budget.check_depth(depth)
+    sigma = sigma0
+    derivations = []
+    for c in rule.conditions:
+        lhs = sigma.apply(c.lhs)
+        if not is_ground(lhs):
+            raise PreconditionViolated(
+                f"rule {rule.label}: condition lhs {format_term(lhs)} is not ground "
+                "under the accumulated substitution (system is not deterministic)"
+            )
+        value, steps = _ref_normalize(system, lhs, strategy, budget, depth + 1)
+        theta = match(sigma.apply(c.rhs), value)
+        if theta is None:
+            return None
+        if strategy == "constructor" and not theta.is_constructor:
+            return None
+        sigma = sigma.union(theta)
+        derivations.append(tuple(steps))
+    return sigma, tuple(derivations)
+
+
+def _ref_witnesses_at(system, whole, pos, sub, strategy, budget, depth, out, limit):
+    if not (isinstance(sub, App) and sub.symbol.kind == DEFINED):
+        return False
+    found = False
+    for rule in system.rules:
+        sigma0 = match(rule.lhs, sub)
+        if sigma0 is None:
+            continue
+        if strategy == "constructor" and not sigma0.is_constructor:
+            continue
+        solved = _ref_solve(system, rule, sigma0, strategy, budget, depth)
+        if solved is None:
+            continue
+        sigma, derivations = solved
+        result = replace(whole, pos, sigma.apply(rule.rhs))
+        out.append(StepWitness(pos, rule.label, sigma, result, derivations))
+        found = True
+        if limit is not None and len(out) >= limit:
+            break
+    return found
+
+
+def _ref_witnesses(system, term, strategy, budget, depth, limit=None):
+    out: list[StepWitness] = []
+    if strategy == "top":
+        _ref_witnesses_at(system, term, ROOT, term, strategy, budget, depth, out, limit)
+        return out
+
+    def walk(sub: Term, pos: Position) -> bool:
+        below = False
+        if isinstance(sub, App):
+            for i, arg in enumerate(sub.args, 1):
+                below = walk(arg, (*pos, i)) or below
+                if limit is not None and len(out) >= limit:
+                    return True
+        if strategy == "any" or not below:
+            here = _ref_witnesses_at(
+                system, term, pos, sub, strategy, budget, depth, out, limit
+            )
+            return below or here
+        return below
+
+    walk(term, ROOT)
+    return out
+
+
+def _ref_normalize(system, term, strategy, budget, depth):
+    steps: list[StepWitness] = []
+    while True:
+        found = _ref_witnesses(system, term, strategy, budget, depth, limit=1)
+        if not found:
+            return term, steps
+        budget.spend()
+        steps.append(found[0])
+        term = found[0].result
+
+
+def ref_step(system, term, strategy="innermost", bounds=Bounds()):
+    _ref_check(term, strategy)
+    return _ref_witnesses(system, term, strategy, _RefBudget(bounds), 1)
+
+
+def ref_first_step(system, term, strategy="innermost", bounds=Bounds()):
+    _ref_check(term, strategy)
+    found = _ref_witnesses(system, term, strategy, _RefBudget(bounds), 1, limit=1)
+    return found[0] if found else None
+
+
+def ref_normalize_traced(system, term, strategy="innermost", bounds=Bounds()):
+    _ref_check(term, strategy)
+    return _ref_normalize(system, term, strategy, _RefBudget(bounds), 1)
+
+
+def ref_forward_run(system, pair, strategy="innermost", steps=None, bounds=Bounds()):
+    """forward_step iterated: one ref_first_step, with a fresh budget, per
+    top-level step; at most bounds.max_steps of them when steps is None."""
+    report = is_safe(system, pair.trace)
+    if not report.ok:
+        raise UnsafePair("; ".join(report.findings))
+    n = 0
+    while steps is None or n < steps:
+        if steps is None and n >= bounds.max_steps:
+            raise BoundExceeded("forward run exceeded the step bound")
+        witness = ref_first_step(system, pair.term, strategy, bounds)
+        if witness is None:
+            return pair
+        pair = Pair(witness.result, (witness_trace_term(system, witness), *pair.trace))
+        n += 1
+    return pair

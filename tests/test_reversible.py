@@ -24,7 +24,7 @@ from revrw import (
 )
 from revrw.reversible import witness_trace_term
 
-from .oracles import basic_terms, reachable_terms, reversibly_reachable_terms
+from .oracles import basic_terms, reachable_terms, reversibly_reachable_terms, same_term
 
 
 def t(system, text):
@@ -297,6 +297,45 @@ def test_forward_run_until_normal_is_bounded():
     loop = parse_system("(RULES f -> f)")
     with pytest.raises(BoundExceeded):
         forward_run(loop, Pair(t(loop, "f")), bounds=Bounds(max_steps=30))
+
+
+def _nat(system, n):
+    out = system.signature["0"]()
+    for _ in range(n):
+        out = system.signature["s"](out)
+    return out
+
+
+def _list(system, items):
+    out = system.signature["nil"]()
+    for item in reversed(items):
+        out = system.signature["cons"](item, out)
+    return out
+
+
+def _assert_deep_round_trip(system, start, expected):
+    # Terms a few hundred levels deep: no step may recurse per level.
+    out = forward_run(system, Pair(start))
+    assert same_term(out.term, expected)
+    trace = parse_trace(format_trace(out.trace))
+    back = backward_run(system, Pair(out.term, trace))
+    assert not back.trace and same_term(back.term, start)
+
+
+def test_deep_double_round_trip(double_sys):
+    start = double_sys.signature["double"](_nat(double_sys, 200))
+    _assert_deep_round_trip(double_sys, start, _nat(double_sys, 400))
+
+
+def test_deep_zip_round_trip(zip_sys):
+    from revrw import Symbol
+
+    xs = [Symbol(str(i % 10), 0)() for i in range(350)]
+    ys = [Symbol(str(i % 7), 0)() for i in range(353)]
+    start = zip_sys.signature["zip"](_list(zip_sys, xs), _list(zip_sys, ys))
+    pair = Symbol("pair", 2)
+    expected = _list(zip_sys, [pair(a, b) for a, b in zip(xs, ys)])
+    _assert_deep_round_trip(zip_sys, start, expected)
 
 
 def test_forward_step_rejects_unsafe_pair(needvars):

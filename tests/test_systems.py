@@ -13,6 +13,7 @@ from revrw import (
     format_system,
     parse_system,
     parse_term,
+    parse_trace,
     validate,
 )
 from revrw.terms import CONSTRUCTOR, DEFINED, Symbol, TUPLE
@@ -42,6 +43,22 @@ def test_parse_syntax_error_has_location():
     with pytest.raises(ParseError) as err:
         parse_system("(RULES f(x -> x)")
     assert err.value.line is not None
+
+
+def test_parse_error_location_on_later_lines():
+    text = "(VAR x y)\n(RULES\n  f(x) -> x\n  g(x, y) -> @\n)"
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == (4, 14)
+    assert str(err.value) == "unexpected character '@' (line 4, column 14)"
+    with pytest.raises(ParseError) as err:
+        parse_system("(VAR x)\n\n(RULES\n\tf(x) x)")
+    assert (err.value.line, err.value.column) == (4, 7)
+    assert str(err.value) == "expected ->, found 'x' (line 4, column 7)"
+    with pytest.raises(ParseError) as err:
+        parse_trace("[b1(e, {}),\n b2(1.2, {}),\n\n b3(1, {x -> s(0)} y)]")
+    assert (err.value.line, err.value.column) == (4, 20)
+    assert str(err.value) == "expected RPAREN, found 'y' (line 4, column 20)"
 
 
 def test_parse_explicit_labels_and_duplicates():

@@ -78,6 +78,22 @@ def test_replace_second_argument():
     assert replace(ADD(zero, y), (2,), zero) == ADD(zero, zero)
 
 
+def test_replace_invalid_position_names_the_rest_of_the_path():
+    with pytest.raises(InvalidPosition) as err:
+        replace(FST(S(zero), zero), (1, 1, 2), zero)
+    assert str(err.value) == "position 2 not in 0"
+
+
+def test_replace_below_the_recursion_limit():
+    depth = 5000
+    t = zero
+    for _ in range(depth):
+        t = S(t)
+    p = (1,) * depth
+    out = replace(t, p, x)
+    assert subterm(out, p) is x and not out.ground
+
+
 def test_positions_are_postorder():
     t = ADD(S(x), zero)
     assert list(positions(t)) == [(1, 1), (1,), (2,), ()]
