@@ -35,7 +35,6 @@ from .reversible import (
     TraceTerm,
     backward_run,
     backward_step,
-    enumerate_backward_steps,
     format_trace,
     forward_run,
     forward_step,

@@ -23,7 +23,7 @@ from .errors import (
     UnsafePair,
 )
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
-from .systems import RewriteSystem, Rule, TokenStream, tokenize, _TermParser
+from .systems import RewriteSystem, Rule, TermParser, TokenStream, tokenize
 from .terms import (
     Position,
     Subst,
@@ -34,7 +34,6 @@ from .terms import (
     is_ground,
     match,
     parse_position,
-    positions,
     replace,
     subterm,
     term_vars,
@@ -278,62 +277,6 @@ def backward_run(system: RewriteSystem, pair: Pair) -> Pair:
     return _backward_to_empty(system, pair)
 
 
-def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Rule, Subst, Pair]]:
-    """Brute-force cross-check of backward determinism: enumerate every rule
-    carrying the popped label together with every candidate substitution
-    theta (built by assigning subterms of the focus to the rule's rhs
-    variables, independently of the matching algorithm) and play each
-    through the full backward procedure. On safe pairs produced by forward
-    runs exactly one completion exists."""
-    if not pair.trace:
-        return []
-    tt, rest = pair.trace[0], pair.trace[1:]
-    try:
-        focus = subterm(pair.term, tt.position)
-    except InvalidPosition:
-        return []
-    completions = []
-    for rule in system.rules:
-        if rule.label != tt.label:
-            continue
-        if len(rule.conditions) != len(tt.sub_traces):
-            continue
-        if safety_domain(rule) != tt.recorded.domain:
-            continue
-        for theta in _candidate_thetas(rule.rhs, focus):
-            try:
-                completions.append(
-                    (rule, theta, Pair(_undo(system, pair.term, tt, rule, theta), rest))
-                )
-            except (TraceMismatch, UnknownLabel):
-                continue
-    return completions
-
-
-def _candidate_thetas(rhs: Term, focus: Term) -> list[Subst]:
-    """All ground substitutions with domain Var(rhs) mapping variables to
-    subterms of the focus such that rhs instantiates to the focus. Any theta
-    with rhs*theta == focus only binds subterms of the focus, so this
-    enumeration is exhaustive."""
-    names = sorted(term_vars(rhs))
-    pool = list(dict.fromkeys(subterm(focus, p) for p in positions(focus)))
-    out = []
-    for values in _assignments(pool, len(names)):
-        theta = Subst(dict(zip(names, values)))
-        if theta.apply(rhs) == focus:
-            out.append(theta)
-    return out
-
-
-def _assignments(pool: list[Term], k: int):
-    if k == 0:
-        yield ()
-        return
-    for rest in _assignments(pool, k - 1):
-        for value in pool:
-            yield (*rest, value)
-
-
 # ---------------------------------------------------------------------------
 # Trace serialization: label(pos, {x -> t, ...}, [trace], ...)
 
@@ -400,7 +343,7 @@ def _parse_subst(stream: TokenStream) -> Subst:
         while True:
             name = stream.expect("IDENT").text
             stream.expect("ARROW")
-            parser = _TermParser(stream, set(), {}, allow_reserved=True)
+            parser = TermParser(stream, set(), {}, allow_reserved=True)
             bindings[name] = parser.parse()
             if stream.at("COMMA"):
                 stream.next()

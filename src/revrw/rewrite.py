@@ -37,11 +37,10 @@ STRATEGIES = ("any", "innermost", "constructor", "top")
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
-    """max_steps caps the rewrite steps of one engine call: applied steps,
-    condition steps included, plus the condition steps of failed rule
-    attempts on unchanged subterms, counted again on every step as a search
-    from the root would repeat them. max_depth caps the nesting of
-    condition evaluations."""
+    """max_steps caps the rewrite steps that one engine call performs:
+    applied steps plus the steps of condition evaluations, those of failed
+    rule attempts included. Each rule attempt is made, and counted, once.
+    max_depth caps the nesting of condition evaluations."""
 
     max_steps: int = 10000
     max_depth: int = 100
@@ -65,13 +64,6 @@ class _Budget:
         if self.steps_left <= 0:
             raise BoundExceeded("step bound exceeded")
         self.steps_left -= 1
-
-    def charge(self, steps: int) -> None:
-        """Spend `steps` steps at once; raises exactly when spending them one
-        by one would."""
-        if steps > self.steps_left:
-            raise BoundExceeded("step bound exceeded")
-        self.steps_left -= steps
 
     def check_depth(self, depth: int) -> None:
         if depth > self.max_depth:
@@ -103,23 +95,13 @@ def _check_ground(term: Term) -> None:
 
 class _Engine:
     """What one top-level call shares with its nested condition evaluations:
-    the system, the strategy, and the search cost of irreducible subterms.
+    the system and the strategy."""
 
-    Step bounds count the condition steps of every rule attempt that a
-    leftmost-innermost search from the root makes, on every step: attempts
-    that fail on an unchanged subterm are made, and paid for, again. The
-    resumable search does not repeat them; it charges their recorded cost
-    instead, so BoundExceeded is raised exactly where a search from the root
-    would raise it. `costs` maps id(subterm) to (subterm, cost) for every
-    searched irreducible subterm whose cost is not zero.
-    """
-
-    __slots__ = ("system", "strategy", "costs")
+    __slots__ = ("system", "strategy")
 
     def __init__(self, system: RewriteSystem, strategy: str):
         self.system = system
         self.strategy = strategy
-        self.costs: dict[int, tuple[Term, int]] = {}
 
     def attempt(
         self, node: App, budget: _Budget, depth: int, first: bool
@@ -186,18 +168,18 @@ class _Cursor:
     """A leftmost-innermost (post-order) search over one term that resumes
     where its last step happened.
 
-    The zipper is a stack of frames [node, pattern, i, cost, below], one per
+    The zipper is a stack of frames [node, pattern, i, below], one per
     ancestor of the subterm being searched: i children of node have been
-    entered, cost sums the search cost of the completed ones, and below
-    says whether a witness was found under node. After a step at position
-    p, everything before p in post-order is unchanged and irreducible, and
-    so is every variable binding of the applied rule: a binding is a
-    subterm of the redex's arguments or of a condition's normal form. The
-    next search therefore enters only the nodes of sigma(rhs) that come
-    from rhs itself (pattern tracks them), then the nodes after p.
+    entered, and below says whether a witness was found under node. After
+    a step at position p, everything before p in post-order is unchanged
+    and irreducible, and so is every variable binding of the applied rule:
+    a binding is a subterm of the redex's arguments or of a condition's
+    normal form. The next search therefore enters only the nodes of
+    sigma(rhs) that come from rhs itself (pattern tracks them), then the
+    nodes after p.
     """
 
-    __slots__ = ("engine", "depth", "term", "stack", "node", "pattern", "left")
+    __slots__ = ("engine", "depth", "term", "stack", "node", "pattern")
 
     def __init__(self, engine: _Engine, term: Term, depth: int):
         self.engine = engine
@@ -208,8 +190,6 @@ class _Cursor:
         # rule rhs it instantiates (None: search all of it).
         self.node: Term | None = term
         self.pattern: Term | None = None
-        # Summed cost of the frames' completed children.
-        self.left = 0
 
     def search(self, budget: _Budget, first: bool) -> list[StepWitness]:
         """The witnesses from the current point on: the first one, planted
@@ -219,66 +199,43 @@ class _Cursor:
         if engine.strategy == "top":
             return self._search_root(budget, first)
         depth = self.depth
-        costs = engine.costs
         any_node = engine.strategy == "any"
         stack = self.stack
-        node, pattern, left = self.node, self.pattern, self.left
-        if node is None and not stack:
-            return []
-        if left:
-            budget.charge(left)
+        node, pattern = self.node, self.pattern
         out: list[StepWitness] = []
-        while True:
+        while stack or node is not None:
             if node is not None:
+                # A variable binding is irreducible, so it is not entered.
                 if pattern is None or pattern.__class__ is not Var:
-                    stack.append([node, pattern, 0, 0, False])
-                    node = None
-                    continue
-                # A variable binding: irreducible, its search cost known.
-                entry = costs.get(id(node)) if costs else None
-                cost = 0 if entry is None else entry[1]
-                if cost:
-                    budget.charge(cost)
-                below = False
+                    stack.append([node, pattern, 0, False])
                 node = None
-            else:
-                frame = stack[-1]
-                t, t_pattern, i = frame[0], frame[1], frame[2]
-                args = t.args
-                if i < len(args):
-                    frame[2] = i + 1
-                    node = args[i]
-                    pattern = None if t_pattern is None else t_pattern.args[i]
-                    continue
-                stack.pop()
-                cost, below = frame[3], frame[4]
-                left -= cost
-                if (any_node or not below) and t.symbol.kind == DEFINED:
-                    before = budget.steps_left
-                    found = engine.attempt(t, budget, depth, first)
-                    cost += before - budget.steps_left
-                    if found:
-                        position = tuple([f[2] for f in stack])
-                        if first:
-                            rule, sigma, derivations = found[0]
-                            w = self._plant(position, rule, sigma, derivations, left)
-                            return [w]
-                        for rule, sigma, derivations in found:
-                            result = replace(self.term, position, sigma.apply(rule.rhs))
-                            out.append(
-                                StepWitness(position, rule.label, sigma, result, derivations)
-                            )
-                        below = True
-                if cost and not below:
-                    costs[id(t)] = (t, cost)
-            if not stack:
-                self.node, self.left = None, 0
-                return out
+                continue
             frame = stack[-1]
-            frame[3] += cost
-            left += cost
-            if below:
-                frame[4] = True
+            t, t_pattern, i = frame[0], frame[1], frame[2]
+            args = t.args
+            if i < len(args):
+                frame[2] = i + 1
+                node = args[i]
+                pattern = None if t_pattern is None else t_pattern.args[i]
+                continue
+            stack.pop()
+            below = frame[3]
+            if (any_node or not below) and t.symbol.kind == DEFINED:
+                found = engine.attempt(t, budget, depth, first)
+                if found:
+                    position = tuple([f[2] for f in stack])
+                    if first:
+                        return [self._plant(position, *found[0])]
+                    for rule, sigma, derivations in found:
+                        result = replace(self.term, position, sigma.apply(rule.rhs))
+                        out.append(
+                            StepWitness(position, rule.label, sigma, result, derivations)
+                        )
+                    below = True
+            if below and stack:
+                stack[-1][3] = True
+        self.node = None
+        return out
 
     def _search_root(self, budget: _Budget, first: bool) -> list[StepWitness]:
         term = self.term
@@ -294,7 +251,7 @@ class _Cursor:
             self.term = out[0].result
         return out
 
-    def _plant(self, position, rule, sigma, derivations, left) -> StepWitness:
+    def _plant(self, position, rule, sigma, derivations) -> StepWitness:
         """Put sigma(rhs) in place of the redex under the stack's frames,
         giving the frames the new path from the root, and resume there."""
         rhs = sigma.apply(rule.rhs)
@@ -303,7 +260,7 @@ class _Cursor:
             t, i = frame[0], frame[2]
             sub = frame[0] = App(t.symbol, t.args[: i - 1] + (sub,) + t.args[i:])
         self.term = sub
-        self.node, self.pattern, self.left = rhs, rule.rhs, left
+        self.node, self.pattern = rhs, rule.rhs
         return StepWitness(position, rule.label, sigma, sub, derivations)
 
 

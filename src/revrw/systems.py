@@ -164,10 +164,6 @@ class RewriteSystem:
     def symbol(self, name: str) -> Symbol | None:
         return self.signature.get(name)
 
-    @property
-    def constructor_symbols(self) -> list[Symbol]:
-        return [s for s in self.signature.values() if s.kind != DEFINED]
-
     @cached_property
     def is_trs(self) -> bool:
         return all(
@@ -227,9 +223,32 @@ def _collect_arities(
 
 
 def _rebind(t: Term, signature: dict[str, Symbol]) -> Term:
-    if isinstance(t, Var):
-        return t
-    return App(signature[t.symbol.name], tuple(_rebind(a, signature) for a in t.args))
+    """t with each symbol replaced by the signature's symbol of that name; a
+    name the signature lacks becomes a constructor."""
+    done: list[Term] = []
+    # Terms to rebuild, and symbols whose arguments are the last in `done`.
+    stack: list[Term | Symbol] = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            done.append(u)
+            continue
+        if u.__class__ is App:
+            if u.args:
+                stack.append(u.symbol)
+                stack.extend(reversed(u.args))
+                continue
+            sym, args = u.symbol, ()
+        else:
+            sym = u
+            k = len(done) - sym.arity
+            args = tuple(done[k:])
+            del done[k:]
+        bound = signature.get(sym.name)
+        if bound is None:
+            bound = Symbol(sym.name, sym.arity, CONSTRUCTOR)
+        done.append(App(bound, args))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +449,7 @@ def _check_reserved(tok: Token, is_variable: bool) -> None:
         )
 
 
-class _TermParser:
+class TermParser:
     """Term syntax: f(t1,...,tn), bare nullary symbols, [..] list sugar."""
 
     def __init__(
@@ -555,7 +574,7 @@ def parse_system(text: str, allow_reserved: bool = False) -> RewriteSystem:
             if seen_rules:
                 raise ParseError("duplicate (RULES section", open_tok.line, open_tok.column)
             seen_rules = True
-            term_parser = _TermParser(stream, variables, arities, allow_reserved)
+            term_parser = TermParser(stream, variables, arities, allow_reserved)
             while not stream.at("RPAREN"):
                 raw_rules.append(_parse_rule(stream, term_parser))
             stream.expect("RPAREN")
@@ -579,7 +598,7 @@ def parse_system(text: str, allow_reserved: bool = False) -> RewriteSystem:
 
 
 def _parse_rule(
-    stream: TokenStream, term_parser: _TermParser
+    stream: TokenStream, term_parser: TermParser
 ) -> tuple[Term, Term, tuple[Condition, ...], str | None, Token]:
     where = stream.peek()
     assert where is not None
@@ -631,7 +650,7 @@ def parse_terms(
     arities = (
         {name: sym.arity for name, sym in system.signature.items()} if system else {}
     )
-    parser = _TermParser(stream, set(variables), arities, allow_reserved)
+    parser = TermParser(stream, set(variables), arities, allow_reserved)
     terms = [parser.parse()]
     while stream.at("COMMA"):
         stream.next()
@@ -640,17 +659,8 @@ def parse_terms(
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
     if system is not None:
-        return [_rebind_with_default(t, system.signature) for t in terms]
+        return [_rebind(t, system.signature) for t in terms]
     return terms
-
-
-def _rebind_with_default(t: Term, signature: dict[str, Symbol]) -> Term:
-    if isinstance(t, Var):
-        return t
-    sym = signature.get(t.symbol.name)
-    if sym is None:
-        sym = Symbol(t.symbol.name, t.symbol.arity, CONSTRUCTOR)
-    return App(sym, tuple(_rebind_with_default(a, signature) for a in t.args))
 
 
 # ---------------------------------------------------------------------------

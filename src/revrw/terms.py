@@ -126,23 +126,6 @@ def is_basic_term(t: Term) -> bool:
     )
 
 
-def term_size(t: Term) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        n += 1
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return n
-
-
-def term_depth(t: Term) -> int:
-    if isinstance(u := t, Var) or not u.args:
-        return 1
-    return 1 + max(term_depth(a) for a in u.args)
-
-
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t in post-order (leftmost-innermost first, root last)."""
     if isinstance(t, App):
@@ -264,9 +247,6 @@ class Subst:
 
     def __repr__(self) -> str:
         return format_subst(self)
-
-
-IDENTITY = Subst()
 
 
 def format_subst(s: Subst) -> str:

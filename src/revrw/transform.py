@@ -19,7 +19,7 @@ from .errors import (
 )
 from .reversible import Trace, TraceTerm, is_safe, safety_domain
 from .rewrite import Bounds, DEFAULT_BOUNDS, normalize
-from .systems import Condition, RewriteSystem, Rule, format_system
+from .systems import Condition, RewriteSystem, Rule, format_system, validate
 from .terms import (
     App,
     DEFINED,
@@ -98,7 +98,7 @@ def _innermost_basic_position(t: Term) -> tuple[int, ...] | None:
     return None
 
 
-def flatten_rhs(system: RewriteSystem, rule: Rule, fresh: FreshNames | None = None) -> Rule:
+def flatten_rhs(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     """Replace the innermost-leftmost basic subterm of the rhs by a fresh
     variable bound through a new last condition."""
     if is_constructor_term(rule.rhs):
@@ -116,9 +116,7 @@ def flatten_rhs(system: RewriteSystem, rule: Rule, fresh: FreshNames | None = No
     )
 
 
-def flatten_condition(
-    system: RewriteSystem, rule: Rule, fresh: FreshNames | None = None
-) -> Rule:
+def flatten_condition(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     """Split the first condition whose lhs is neither constructor nor basic
     at its innermost-leftmost basic subterm."""
     for i, c in enumerate(rule.conditions):
@@ -141,7 +139,7 @@ def flatten_condition(
     )
 
 
-def remove_unify(system: RewriteSystem, rule: Rule) -> Rule:
+def remove_unify(rule: Rule) -> Rule:
     """Drop the first unifiable constructor condition, applying its mgu to
     the whole rule."""
     for i, c in enumerate(rule.conditions):
@@ -160,7 +158,7 @@ def remove_unify(system: RewriteSystem, rule: Rule) -> Rule:
     raise NotApplicable(f"rule {rule.label}: no unifiable constructor condition")
 
 
-def remove_fail(system: RewriteSystem, rule: Rule) -> None:
+def remove_fail(rule: Rule) -> None:
     """Signal that the rule is infeasible (some constructor condition has no
     unifier) and must be deleted from the system."""
     for c in rule.conditions:
@@ -238,27 +236,20 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
     else:
         raise RevrwError("pcDCTRS pipeline did not terminate")
 
-    report = validate_pcdctrs_or_raise(current)
-    return current, PipelineReport(tuple(stages))
-
-
-def validate_pcdctrs_or_raise(system: RewriteSystem) -> RewriteSystem:
-    from .systems import validate
-
-    report = validate(system, "pcdctrs")
+    report = validate(current, "pcdctrs")
     if not report.ok:
         raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
-    return system
+    return current, PipelineReport(tuple(stages))
 
 
 def _pipeline_step(
     system: RewriteSystem, fresh: FreshNames
 ) -> tuple[str, list[Rule], str] | None:
     ops = (
-        ("flattening-rhs", lambda r: flatten_rhs(system, r, fresh)),
-        ("flattening-condition", lambda r: flatten_condition(system, r, fresh)),
-        ("removal-unify", lambda r: remove_unify(system, r)),
-        ("removal-fail", lambda r: remove_fail(system, r)),
+        ("flattening-rhs", lambda r: flatten_rhs(r, fresh)),
+        ("flattening-condition", lambda r: flatten_condition(r, fresh)),
+        ("removal-unify", remove_unify),
+        ("removal-fail", remove_fail),
     )
     for rule in system.rules:
         for name, op in ops:
@@ -341,7 +332,7 @@ def _count_defined(t: Term) -> int:
     return n
 
 
-def range_disjoint(system: RewriteSystem, r1: Term, r2: Term) -> bool:
+def range_disjoint(r1: Term, r2: Term) -> bool:
     """Sound syntactic approximation of constructor-range disjointness: each
     maximal defined-rooted subterm is abstracted to a distinct fresh variable
     (the two terms are renamed apart) and the abstractions must fail to
@@ -368,10 +359,6 @@ def injectivize_improved(system: RewriteSystem, origin: RewriteSystem) -> Rewrit
     if not (origin.is_trs and origin.is_constructor_system):
         raise PreconditionViolated("origin is not a constructor TRS")
 
-    by_root: dict[str, list[Rule]] = {}
-    for r in origin.rules:
-        by_root.setdefault(r.lhs.symbol.name, []).append(r)
-
     new_rules = []
     for rule in system.rules:
         source = origin.rule_by_label(rule.label)
@@ -380,16 +367,16 @@ def injectivize_improved(system: RewriteSystem, origin: RewriteSystem) -> Rewrit
                 f"origin has no rule labelled {rule.label!r}"
             )
         new_rules.append(
-            _injectivize_rule(rule, improved=_qualifies(rule, source, by_root, origin))
+            _injectivize_rule(rule, improved=_qualifies(rule, source, origin))
         )
     return RewriteSystem(new_rules)
 
 
-def _qualifies(
-    rule: Rule, source: Rule, by_root: dict[str, list[Rule]], origin: RewriteSystem
-) -> bool:
-    siblings = [r for r in by_root[source.lhs.symbol.name] if r.label != source.label]
-    if not all(range_disjoint(origin, source.rhs, r.rhs) for r in siblings):
+def _qualifies(rule: Rule, source: Rule, origin: RewriteSystem) -> bool:
+    siblings = [
+        r for r in origin.rules_by_root[source.lhs.symbol.name] if r.label != source.label
+    ]
+    if not all(range_disjoint(source.rhs, r.rhs) for r in siblings):
         return False
     if term_vars(source.lhs) != term_vars(source.rhs):
         return False

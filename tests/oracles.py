@@ -14,6 +14,7 @@ from revrw import (
     App,
     BoundExceeded,
     Bounds,
+    InvalidPosition,
     NotGround,
     Pair,
     PreconditionViolated,
@@ -22,6 +23,8 @@ from revrw import (
     StepWitness,
     Subst,
     Term,
+    TraceMismatch,
+    UnknownLabel,
     UnsafePair,
     Var,
     forward_successors,
@@ -29,11 +32,14 @@ from revrw import (
     format_term,
     is_ground,
     match,
+    positions,
     replace,
+    safety_domain,
     step,
+    subterm,
     term_vars,
 )
-from revrw.reversible import witness_trace_term
+from revrw.reversible import _undo, witness_trace_term
 from revrw.rewrite import STRATEGIES
 from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position
 
@@ -206,6 +212,67 @@ def systems_isomorphic(a: RewriteSystem, b: RewriteSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Backward completions, enumerated without the matching algorithm
+
+
+def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Rule, Subst, Pair]]:
+    """Brute-force cross-check of backward determinism: enumerate every rule
+    carrying the popped label together with every candidate substitution
+    theta (built by assigning subterms of the focus to the rule's rhs
+    variables, independently of the matching algorithm) and play each
+    through the full backward procedure. On safe pairs produced by forward
+    runs exactly one completion exists."""
+    if not pair.trace:
+        return []
+    tt, rest = pair.trace[0], pair.trace[1:]
+    try:
+        focus = subterm(pair.term, tt.position)
+    except InvalidPosition:
+        return []
+    completions = []
+    for rule in system.rules:
+        if rule.label != tt.label:
+            continue
+        if len(rule.conditions) != len(tt.sub_traces):
+            continue
+        if safety_domain(rule) != tt.recorded.domain:
+            continue
+        for theta in _candidate_thetas(rule.rhs, focus):
+            try:
+                completions.append(
+                    (rule, theta, Pair(_undo(system, pair.term, tt, rule, theta), rest))
+                )
+            except (TraceMismatch, UnknownLabel):
+                continue
+    return completions
+
+
+def _candidate_thetas(rhs: Term, focus: Term) -> list[Subst]:
+    """All ground substitutions with domain Var(rhs) mapping variables to
+    subterms of the focus such that rhs instantiates to the focus. Any theta
+    with rhs*theta == focus only binds subterms of the focus, so this
+    enumeration is exhaustive."""
+    names = sorted(term_vars(rhs))
+    pool = list(dict.fromkeys(subterm(focus, p) for p in positions(focus)))
+    out = []
+    for values in _assignments(pool, len(names)):
+        theta = Subst(dict(zip(names, values)))
+        if theta.apply(rhs) == focus:
+            out.append(theta)
+    return out
+
+
+def _assignments(pool: list[Term], k: int):
+    if k == 0:
+        yield ()
+        return
+    for rest in _assignments(pool, k - 1):
+        for value in pool:
+            yield (*rest, value)
+
+
+
+# ---------------------------------------------------------------------------
 # Reference rewriting engine: a recursive walk from the root on every step
 #
 # This is the engine the library's resumable search replaced. It tries every
@@ -332,9 +399,12 @@ def ref_normalize_traced(system, term, strategy="innermost", bounds=Bounds()):
     return _ref_normalize(system, term, strategy, _RefBudget(bounds), 1)
 
 
-def ref_forward_run(system, pair, strategy="innermost", steps=None, bounds=Bounds()):
-    """forward_step iterated: one ref_first_step, with a fresh budget, per
-    top-level step; at most bounds.max_steps of them when steps is None."""
+def ref_forward_run(
+    system, pair, strategy="innermost", steps=None, bounds=Bounds(), step_bounds=None
+):
+    """forward_step iterated: one ref_first_step, with a fresh budget of
+    step_bounds (default: bounds), per top-level step; at most
+    bounds.max_steps of them when steps is None."""
     report = is_safe(system, pair.trace)
     if not report.ok:
         raise UnsafePair("; ".join(report.findings))
@@ -342,7 +412,7 @@ def ref_forward_run(system, pair, strategy="innermost", steps=None, bounds=Bound
     while steps is None or n < steps:
         if steps is None and n >= bounds.max_steps:
             raise BoundExceeded("forward run exceeded the step bound")
-        witness = ref_first_step(system, pair.term, strategy, bounds)
+        witness = ref_first_step(system, pair.term, strategy, step_bounds or bounds)
         if witness is None:
             return pair
         pair = Pair(witness.result, (witness_trace_term(system, witness), *pair.trace))

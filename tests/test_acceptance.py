@@ -20,7 +20,6 @@ from revrw import (
     backward_run,
     backward_step,
     encode_trace,
-    enumerate_backward_steps,
     forward_run,
     forward_step,
     forward_successors,
@@ -40,7 +39,12 @@ from revrw.terms import App, is_constructor_term
 from revrw.transform import injective_name, inverse_name
 
 from .conftest import load
-from .oracles import all_normal_forms, basic_terms, systems_isomorphic
+from .oracles import (
+    all_normal_forms,
+    basic_terms,
+    enumerate_backward_steps,
+    systems_isomorphic,
+)
 from .test_transform import (
     GOLDEN_ADD_B,
     GOLDEN_ADD_F,

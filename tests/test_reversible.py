@@ -12,7 +12,6 @@ from revrw import (
     UnsafePair,
     backward_run,
     backward_step,
-    enumerate_backward_steps,
     format_trace,
     forward_run,
     forward_step,
@@ -24,7 +23,13 @@ from revrw import (
 )
 from revrw.reversible import witness_trace_term
 
-from .oracles import basic_terms, reachable_terms, reversibly_reachable_terms, same_term
+from .oracles import (
+    basic_terms,
+    enumerate_backward_steps,
+    reachable_terms,
+    reversibly_reachable_terms,
+    same_term,
+)
 
 
 def t(system, text):

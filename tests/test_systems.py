@@ -199,3 +199,13 @@ def test_parse_term_against_system(addfst):
 def test_parse_term_arity_checked_against_system(addfst):
     with pytest.raises(ArityConflict):
         parse_term("add(0)", addfst)
+
+
+def test_parse_term_against_system_below_the_recursion_limit(addmult):
+    depth = 900
+    t = parse_term("s(" * depth + "add(0,r)" + ")" * depth, addmult)
+    for _ in range(depth):
+        assert t.symbol is addmult.signature["s"]
+        t = t.args[0]
+    assert t.symbol.kind == DEFINED
+    assert t.args[1].symbol == Symbol("r", 0) and t.args[1].symbol.kind == CONSTRUCTOR

@@ -46,20 +46,20 @@ def expect(text: str) -> RewriteSystem:
 
 def test_flatten_rhs_mult_twice(addmult):
     rule = addmult.rule_by_label("b4")
-    once = flatten_rhs(addmult, rule)
+    once = flatten_rhs(rule)
     assert repr(once) == "mult(s(x),y) -> add(_w1,y) | mult(x,y) == _w1 [b4]"
-    twice = flatten_rhs(addmult, once)
+    twice = flatten_rhs(once)
     assert repr(twice) == "mult(s(x),y) -> _w2 | mult(x,y) == _w1, add(_w1,y) == _w2 [b4]"
 
 
 def test_flatten_rhs_add(addmult):
     rule = addmult.rule_by_label("b2")
-    assert repr(flatten_rhs(addmult, rule)) == "add(s(x),y) -> s(_w1) | add(x,y) == _w1 [b2]"
+    assert repr(flatten_rhs(rule)) == "add(s(x),y) -> s(_w1) | add(x,y) == _w1 [b2]"
 
 
 def test_flatten_rhs_not_applicable_on_constructor_rhs(addmult):
     with pytest.raises(NotApplicable):
-        flatten_rhs(addmult, addmult.rule_by_label("b1"))
+        flatten_rhs(addmult.rule_by_label("b1"))
 
 
 # --- flatten_condition --------------------------------------------------------
@@ -67,13 +67,13 @@ def test_flatten_rhs_not_applicable_on_constructor_rhs(addmult):
 
 def test_flatten_condition_splits_nested_call(simplify_sys):
     rule = simplify_sys.rule_by_label("b3")  # wrap(x) -> y <= outer(inner(x)) ->> y
-    got = flatten_condition(simplify_sys, rule)
+    got = flatten_condition(rule)
     assert repr(got) == "wrap(x) -> y | inner(x) == _w1, outer(_w1) == y [b3]"
 
 
 def test_flatten_condition_not_applicable_when_all_basic(double_sys):
     with pytest.raises(NotApplicable):
-        flatten_condition(double_sys, double_sys.rule_by_label("b3"))
+        flatten_condition(double_sys.rule_by_label("b3"))
 
 
 def test_flatten_condition_two_deep_needs_two_applications():
@@ -83,8 +83,8 @@ def test_flatten_condition_two_deep_needs_two_applications():
         "  a(x) -> x  b(x) -> x  c(x) -> x)"
     )
     rule = system.rule_by_label("b1")
-    once = flatten_condition(system, rule)
-    twice = flatten_condition(system, once)
+    once = flatten_condition(rule)
+    twice = flatten_condition(once)
     assert repr(twice) == "f(x) -> y | c(x) == _w1, b(_w1) == _w2, a(_w2) == y [b1]"
     pc, _ = to_pcdctrs(system)
     assert validate(pc, "pcdctrs").ok
@@ -95,7 +95,7 @@ def test_flatten_condition_two_deep_needs_two_applications():
 
 def test_remove_unify_forces_binding(simplify_sys):
     rule = simplify_sys.rule_by_label("b1")  # fit(x) -> x <= x ->> 0
-    assert repr(remove_unify(simplify_sys, rule)) == "fit(0) -> 0 [b1]"
+    assert repr(remove_unify(rule)) == "fit(0) -> 0 [b1]"
 
 
 def test_remove_unify_pair_example():
@@ -104,7 +104,7 @@ def test_remove_unify_pair_example():
         "(RULES f(x) -> z | pair(x,0) == pair(w,w), g(x) == z\n g(x) -> x)"
     )
     rule = system.rule_by_label("b1")
-    got = remove_unify(system, rule)
+    got = remove_unify(rule)
     assert repr(got) == "f(0) -> z | g(0) == z [b1]"
     # independent cross-check of the applied mgu
     lhs = parse_term("pair(x,0)", system, variables=("x",))
@@ -115,20 +115,20 @@ def test_remove_unify_pair_example():
 
 def test_remove_unify_not_applicable_without_constructor_condition(double_sys):
     with pytest.raises(NotApplicable):
-        remove_unify(double_sys, double_sys.rule_by_label("b3"))
+        remove_unify(double_sys.rule_by_label("b3"))
 
 
 def test_remove_fail_on_clash(simplify_sys):
     rule = simplify_sys.rule_by_label("b2")  # gone(x) -> x <= 0 ->> s(y)
-    assert remove_fail(simplify_sys, rule) is None
+    assert remove_fail(rule) is None
 
 
 def test_remove_fail_not_applicable_on_trivial_condition():
     system = parse_system("(VAR x)(CONDITIONTYPE ORIENTED)(RULES f(x) -> x | x == x)")
     rule = system.rule_by_label("b1")
     with pytest.raises(NotApplicable):
-        remove_fail(system, rule)
-    assert repr(remove_unify(system, rule)) == "f(x) -> x [b1]"
+        remove_fail(rule)
+    assert repr(remove_unify(rule)) == "f(x) -> x [b1]"
 
 
 # --- to_pcdctrs -----------------------------------------------------------------
@@ -373,15 +373,15 @@ def test_injectivize_improved_skips_erasing_rules():
 def test_range_disjoint_cases(fgh, zip_sys):
     g_of_x = parse_term("g(x)", fgh, variables=("x",))
     h_of_x = parse_term("h(x)", fgh, variables=("x",))
-    assert not range_disjoint(fgh, g_of_x, h_of_x)
+    assert not range_disjoint(g_of_x, h_of_x)
 
     nil = parse_term("nil", zip_sys)
     spine = parse_term("cons(pair(x,y),zip(xs,ys))", zip_sys, variables=("x", "y", "xs", "ys"))
-    assert range_disjoint(zip_sys, nil, spine)
+    assert range_disjoint(nil, spine)
 
     s_w = parse_term("s(w)", fgh, variables=("w",))
     s_v = parse_term("s(v)", fgh, variables=("v",))
-    assert not range_disjoint(fgh, s_w, s_v)
+    assert not range_disjoint(s_w, s_v)
 
 
 # --- encode_trace -----------------------------------------------------------------
