@@ -176,7 +176,8 @@ class _Cursor:
     a binding is a subterm of the redex's arguments or of a condition's
     normal form. The next search therefore enters only the nodes of
     sigma(rhs) that come from rhs itself (pattern tracks them), then the
-    nodes after p.
+    nodes after p. A subterm in which no defined symbol occurs (its
+    `constructor` flag is set) holds no redex, so it is never entered.
     """
 
     __slots__ = ("engine", "depth", "term", "stack", "node", "pattern")
@@ -205,8 +206,9 @@ class _Cursor:
         out: list[StepWitness] = []
         while stack or node is not None:
             if node is not None:
-                # A variable binding is irreducible, so it is not entered.
-                if pattern is None or pattern.__class__ is not Var:
+                # A variable binding is irreducible, and so is a subterm
+                # without a defined symbol: neither is entered.
+                if (pattern is None or pattern.__class__ is not Var) and not node.constructor:
                     stack.append([node, pattern, 0, False])
                 node = None
                 continue

@@ -32,10 +32,6 @@ class Symbol:
     def __call__(self, *args: "Term") -> "App":
         return App(self, tuple(args))
 
-    @property
-    def is_constructor_like(self) -> bool:
-        return self.kind in CONSTRUCTOR_KINDS
-
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
 
@@ -50,9 +46,16 @@ class Var:
 
 @dataclass(frozen=True, slots=True)
 class App:
+    """A function symbol applied to its arguments. Two flags are cached at
+    construction, so that neither question walks the term: `ground` (no
+    variable occurs in it) and `constructor` (every symbol in it is a
+    constructor, tuple and trace constructors included; variables may
+    occur)."""
+
     symbol: Symbol
     args: tuple["Term", ...] = ()
     ground: bool = field(init=False, compare=False, repr=False)
+    constructor: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         args = self.args
@@ -64,15 +67,24 @@ class App:
                 f"symbol {self.symbol!r} applied to {len(args)} arguments"
             )
         ground = True
+        constructor = self.symbol.kind in CONSTRUCTOR_KINDS
         for a in args:
-            if not (isinstance(a, App) and a.ground):
+            if a.__class__ is App:
+                ground = ground and a.ground
+                constructor = constructor and a.constructor
+            else:
                 ground = False
-                break
-        object.__setattr__(self, "ground", ground)
+        _set_ground(self, ground)
+        _set_constructor(self, constructor)
 
     def __repr__(self) -> str:
         return format_term(self)
 
+
+# The slots' own setters: like object.__setattr__ they skip the frozen
+# __setattr__, at about half its cost per call.
+_set_ground = App.ground.__set__
+_set_constructor = App.constructor.__set__
 
 Term = Union[Var, App]
 
@@ -106,15 +118,8 @@ def vars_of(*terms: Term) -> set[str]:
 
 def is_constructor_term(t: Term) -> bool:
     """True iff every symbol in t is a constructor (tuple and trace
-    constructors included)."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            if not u.symbol.is_constructor_like:
-                return False
-            stack.extend(u.args)
-    return True
+    constructors included); variables are allowed."""
+    return t.constructor if t.__class__ is App else True
 
 
 def is_basic_term(t: Term) -> bool:
@@ -344,14 +349,32 @@ def _as_sugar_list(t: Term) -> list[Term] | None:
 
 
 def format_term(t: Term, sugar: bool = False) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if sugar:
-        if t.symbol.name.startswith("tuple#"):
-            return "(" + ", ".join(format_term(a, sugar) for a in t.args) + ")"
-        items = _as_sugar_list(t)
-        if items is not None:
-            return "[" + ", ".join(format_term(a, sugar) for a in items) + "]"
-    if not t.args:
-        return t.symbol.name
-    return t.symbol.name + "(" + ",".join(format_term(a, sugar) for a in t.args) + ")"
+    """t as text: f(a,b). With sugar, tuple#n(a,b) prints as (a, b) and a
+    cons/nil list as [a, b]."""
+    out: list[str] = []
+    # Terms still to print, and the separators and closing brackets between
+    # them, in reverse order.
+    stack: list[Term | str] = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif u.__class__ is Var:
+            out.append(u.name)
+        else:
+            if sugar and u.symbol.name.startswith("tuple#"):
+                items, open_, sep, close = u.args, "(", ", ", ")"
+            elif sugar and (listed := _as_sugar_list(u)) is not None:
+                items, open_, sep, close = listed, "[", ", ", "]"
+            elif u.args:
+                items, open_, sep, close = u.args, u.symbol.name + "(", ",", ")"
+            else:
+                out.append(u.symbol.name)
+                continue
+            out.append(open_)
+            stack.append(close)
+            for i, a in enumerate(reversed(items)):
+                if i:
+                    stack.append(sep)
+                stack.append(a)
+    return "".join(out)

@@ -41,7 +41,7 @@ from revrw import (
 )
 from revrw.reversible import _undo, witness_trace_term
 from revrw.rewrite import STRATEGIES
-from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position
+from revrw.terms import CONSTRUCTOR, CONSTRUCTOR_KINDS, DEFINED, ROOT, Position
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
 
@@ -297,6 +297,24 @@ class _RefBudget:
             raise BoundExceeded("condition evaluation depth bound exceeded")
 
 
+def ref_is_constructor_term(t: Term) -> bool:
+    """True iff every symbol in t is a constructor (tuple and trace
+    constructors included): a walk that reads the kind of every node and
+    no cached flag."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            if u.symbol.kind not in CONSTRUCTOR_KINDS:
+                return False
+            stack.extend(u.args)
+    return True
+
+
+def _ref_is_constructor_subst(sigma: Subst) -> bool:
+    return all(ref_is_constructor_term(t) for _, t in sigma.items())
+
+
 def _ref_check(term: Term, strategy: str) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -319,7 +337,7 @@ def _ref_solve(system, rule, sigma0, strategy, budget, depth):
         theta = match(sigma.apply(c.rhs), value)
         if theta is None:
             return None
-        if strategy == "constructor" and not theta.is_constructor:
+        if strategy == "constructor" and not _ref_is_constructor_subst(theta):
             return None
         sigma = sigma.union(theta)
         derivations.append(tuple(steps))
@@ -334,7 +352,7 @@ def _ref_witnesses_at(system, whole, pos, sub, strategy, budget, depth, out, lim
         sigma0 = match(rule.lhs, sub)
         if sigma0 is None:
             continue
-        if strategy == "constructor" and not sigma0.is_constructor:
+        if strategy == "constructor" and not _ref_is_constructor_subst(sigma0):
             continue
         solved = _ref_solve(system, rule, sigma0, strategy, budget, depth)
         if solved is None:

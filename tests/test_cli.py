@@ -42,6 +42,14 @@ def test_rewrite_step_count(capsys):
     assert code == 0 and out == "add(s(s(0)),s(s(0)))\n"
 
 
+def test_rewrite_prints_a_normal_form_below_the_recursion_limit(capsys):
+    depth = 900
+    term = "s(" * depth + "add(0,0)" + ")" * depth
+    code, out, err = run(capsys, "rewrite", ADDMULT, "--term", term)
+    assert code == 0 and "Traceback" not in err
+    assert out == "s(" * depth + "0" + ")" * depth + "\n"
+
+
 def test_forward_backward_round_trip(capsys):
     code, out, _ = run(capsys, "forward", DOUBLE, "--term", "double(s(s(0)))")
     assert code == 0

@@ -153,6 +153,26 @@ def test_forward_run_keeps_its_cap_past_the_reference_step_bound(double_sys):
         assert_same_engine(double_sys, term, strategy, Bounds(max_steps=3))
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("double.trs", "cons(double(s(s(0))),nil)"),
+        ("double.trs", "cons(s(0),cons(add(s(0),double(s(s(0)))),nil))"),
+        ("view.trs", "r(book,val(r(dvd,0)))"),
+        ("view.trs", "cons(r(book,0),view(book,cons(r(book,val(r(dvd,0))),nil)))"),
+    ],
+)
+def test_constructor_rooted_terms_with_calls_below_match_reference(name, text):
+    # Constructor-only subterms are skipped by the search; these roots are
+    # constructors with a defined call below, so they must still be entered.
+    system = SYSTEM_OF[name]
+    term = parse_term(text, system)
+    assert term.symbol.kind != DEFINED and not term.constructor
+    for strategy in STRATEGIES:
+        assert_same_engine(system, term, strategy, Bounds())
+    assert first_step(system, term, "innermost") is not None
+
+
 @st.composite
 def system_and_term(draw):
     name = draw(st.sampled_from(SYSTEMS))

@@ -14,20 +14,25 @@ from revrw import (
     Var,
     format_position,
     format_term,
+    injectivize,
+    invert,
     is_basic_term,
     is_constructor_term,
     is_ground,
     match,
     parse_position,
+    parse_term,
     positions,
     replace,
     subterm,
     term_vars,
+    to_pcdctrs,
     unify,
 )
-from revrw.terms import DEFINED
+from revrw.terms import DEFINED, TRACE, TUPLE
 
-from .oracles import ground_unifiers
+from .conftest import CORPUS_DIR, load
+from .oracles import ground_unifiers, ref_is_constructor_term
 
 ZERO = Symbol("0", 0)
 S = Symbol("s", 1)
@@ -209,6 +214,62 @@ def test_constructor_and_basic_terms():
     assert is_basic_term(ADD(S(zero), zero))
     assert not is_basic_term(ADD(ADD(zero, zero), zero))
     assert not is_basic_term(S(zero))
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack.extend(u.args)
+
+
+def assert_constructor_flags(t):
+    for u in _subterms(t):
+        assert is_constructor_term(u) == ref_is_constructor_term(u), u
+        if isinstance(u, App):
+            assert u.constructor == ref_is_constructor_term(u), u
+
+
+flagged_terms = st.recursive(
+    st.sampled_from([zero, x, y, Symbol("tuple#0", 0, TUPLE)(), Symbol("k", 0, DEFINED)()]),
+    lambda kids: st.one_of(
+        st.builds(lambda a: S(a), kids),
+        st.builds(lambda a, b: C(a, b), kids, kids),
+        st.builds(lambda a, b: F(a, b), kids, kids),
+        st.builds(lambda a, b: Symbol("tuple#2", 2, TUPLE)(a, b), kids, kids),
+        st.builds(lambda a: Symbol("t#1", 1, TRACE)(a), kids),
+    ),
+    max_leaves=8,
+)
+
+
+@given(flagged_terms)
+def test_constructor_flag_matches_reference(t):
+    assert_constructor_flags(t)
+    sigma = Subst({"v": t, "w": zero})
+    assert sigma.is_constructor == ref_is_constructor_term(t)
+
+
+def test_constructor_flag_matches_reference_on_the_corpus():
+    checked = 0
+    for path in sorted(CORPUS_DIR.glob("*.trs")):
+        system = load(path.name)
+        pc = system if system.is_pcdctrs else to_pcdctrs(system)[0]
+        forward = injectivize(pc)
+        for s in (system, pc, forward, invert(forward)):
+            for rule in s.rules:
+                sides = [rule.lhs, rule.rhs]
+                for c in rule.conditions:
+                    sides += [c.lhs, c.rhs]
+                for t in sides:
+                    assert_constructor_flags(t)
+                    # Read back against the original system: variables
+                    # become constants, unknown names constructors.
+                    assert_constructor_flags(parse_term(format_term(t), system))
+                    checked += 1
+    assert checked > 300
 
 
 def test_positions_printing():
