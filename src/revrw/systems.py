@@ -32,8 +32,6 @@ from .terms import (
     App,
     CONSTRUCTOR,
     DEFINED,
-    TRACE,
-    TUPLE,
     Symbol,
     Term,
     Var,
@@ -73,8 +71,6 @@ class Rule:
 @dataclass(frozen=True, slots=True)
 class Finding:
     rule_label: str
-    property_name: str
-    ok: bool
     message: str
 
 
@@ -101,8 +97,9 @@ class ValidationReport:
 class RewriteSystem:
     """An ordered rule sequence with a classified signature.
 
-    Construction classifies every symbol (defined = root of some lhs) and
-    rebuilds the rule terms so each node carries its final symbol kind.
+    Construction classifies every symbol (defined = root of some lhs, else a
+    constructor) and rebuilds the rule terms so each node carries its final
+    symbol kind. No other code assigns a kind.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -113,34 +110,18 @@ class RewriteSystem:
                 raise DuplicateLabel(f"duplicate rule label {r.label!r}")
             seen.add(r.label)
 
-        arities: dict[str, int] = {}
-        defined: set[str] = set()
-        trace_names: set[str] = set()
-        for r in rules:
-            assert isinstance(r.lhs, App)
-            defined.add(r.lhs.symbol.name)
-            for t in _rule_terms(r):
-                _collect_arities(t, arities, trace_names)
-
+        defined = {r.lhs.symbol.name for r in rules}
         signature: dict[str, Symbol] = {}
-        for name, arity in arities.items():
-            if name in defined:
-                kind = DEFINED
-            elif re.fullmatch(r"tuple#\d+", name):
-                kind = TUPLE
-            elif name in trace_names:
-                kind = TRACE
-            else:
-                kind = CONSTRUCTOR
-            signature[name] = Symbol(name, arity, kind)
-
         self.rules: tuple[Rule, ...] = tuple(
             Rule(
                 r.label,
-                _rebind(r.lhs, signature),
-                _rebind(r.rhs, signature),
+                _rebind(r.lhs, signature, defined),
+                _rebind(r.rhs, signature, defined),
                 tuple(
-                    Condition(_rebind(c.lhs, signature), _rebind(c.rhs, signature))
+                    Condition(
+                        _rebind(c.lhs, signature, defined),
+                        _rebind(c.rhs, signature, defined),
+                    )
                     for c in r.conditions
                 ),
             )
@@ -205,49 +186,39 @@ def _rule_terms(r: Rule) -> Iterator[Term]:
         yield c.rhs
 
 
-def _collect_arities(
-    t: Term, arities: dict[str, int], trace_names: set[str] | None = None
-) -> None:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            known = arities.setdefault(u.symbol.name, u.symbol.arity)
-            if known != u.symbol.arity:
-                raise ArityConflict(
-                    f"symbol {u.symbol.name!r} used with arities {known} and {u.symbol.arity}"
-                )
-            if trace_names is not None and u.symbol.kind == TRACE:
-                trace_names.add(u.symbol.name)
-            stack.extend(u.args)
-
-
-def _rebind(t: Term, signature: dict[str, Symbol]) -> Term:
-    """t with each symbol replaced by the signature's symbol of that name; a
-    name the signature lacks becomes a constructor."""
+def _rebind(t: Term, signature: dict[str, Symbol], defined: set[str]) -> Term:
+    """t with each symbol replaced by its classified one: defined if its name
+    is in `defined`, else a constructor. A name met for the first time enters
+    the signature, so the signature lists names in the order this walk meets
+    them: root first, arguments right to left."""
     done: list[Term] = []
-    # Terms to rebuild, and symbols whose arguments are the last in `done`.
+    # Terms to rebuild, and symbols whose arguments are the last in `done`,
+    # rightmost argument first.
     stack: list[Term | Symbol] = [t]
     while stack:
         u = stack.pop()
         if u.__class__ is Var:
             done.append(u)
-            continue
-        if u.__class__ is App:
+        elif u.__class__ is App:
+            sym = u.symbol
+            bound = signature.get(sym.name)
+            if bound is None:
+                kind = DEFINED if sym.name in defined else CONSTRUCTOR
+                bound = signature[sym.name] = Symbol(sym.name, sym.arity, kind)
+            elif bound.arity != sym.arity:
+                raise ArityConflict(
+                    f"symbol {sym.name!r} used with arities {bound.arity} and {sym.arity}"
+                )
             if u.args:
-                stack.append(u.symbol)
-                stack.extend(reversed(u.args))
-                continue
-            sym, args = u.symbol, ()
+                stack.append(bound)
+                stack.extend(u.args)
+            else:
+                done.append(App(bound, ()))
         else:
-            sym = u
-            k = len(done) - sym.arity
-            args = tuple(done[k:])
+            k = len(done) - u.arity
+            args = tuple(reversed(done[k:]))
             del done[k:]
-        bound = signature.get(sym.name)
-        if bound is None:
-            bound = Symbol(sym.name, sym.arity, CONSTRUCTOR)
-        done.append(App(bound, args))
+            done.append(App(u, args))
     return done[0]
 
 
@@ -274,7 +245,7 @@ def validate(system: RewriteSystem, property_name: str) -> ValidationReport:
     for rule in system.rules:
         for check in checks[property_name]:
             for message in check(rule):
-                findings.append(Finding(rule.label, property_name, False, message))
+                findings.append(Finding(rule.label, message))
     return ValidationReport(property_name, tuple(findings))
 
 
@@ -450,71 +421,91 @@ def _check_reserved(tok: Token, is_variable: bool) -> None:
 
 
 class TermParser:
-    """Term syntax: f(t1,...,tn), bare nullary symbols, [..] list sugar."""
+    """Term syntax: f(t1,...,tn), bare nullary symbols, [..] list sugar.
+
+    `symbols` maps each name met so far to its symbol; a name it lacks enters
+    it as a constructor of the arity it is first used with."""
 
     def __init__(
         self,
         stream: TokenStream,
         variables: set[str],
-        arities: dict[str, int],
+        symbols: dict[str, Symbol],
         allow_reserved: bool,
     ):
         self.stream = stream
         self.variables = variables
-        self.arities = arities
+        self.symbols = symbols
         self.allow_reserved = allow_reserved
 
     def _symbol(self, tok: Token, arity: int) -> Symbol:
-        known = self.arities.setdefault(tok.text, arity)
-        if known != arity:
+        sym = self.symbols.get(tok.text)
+        if sym is None:
+            sym = self.symbols[tok.text] = Symbol(tok.text, arity)
+        elif sym.arity != arity:
             raise ArityConflict(
-                f"symbol {tok.text!r} used with arities {known} and {arity}",
+                f"symbol {tok.text!r} used with arities {sym.arity} and {arity}",
                 tok.line,
                 tok.column,
             )
-        return Symbol(tok.text, arity)
+        return sym
 
     def parse(self) -> Term:
-        if self.stream.at("LBRACK"):
-            return self._parse_list()
-        tok = self.stream.expect("IDENT")
-        if self.stream.at("LPAREN"):
-            if tok.text in self.variables:
-                raise ParseError(
-                    f"variable {tok.text!r} applied to arguments", tok.line, tok.column
-                )
-            self.stream.next()
-            args = [self.parse()]
-            while self.stream.at("COMMA"):
-                self.stream.next()
-                args.append(self.parse())
-            self.stream.expect("RPAREN")
-            if not self.allow_reserved:
-                _check_reserved(tok, is_variable=False)
-            return App(self._symbol(tok, len(args)), tuple(args))
-        if tok.text in self.variables:
-            if not self.allow_reserved:
-                _check_reserved(tok, is_variable=True)
-            return Var(tok.text)
-        if not self.allow_reserved:
-            _check_reserved(tok, is_variable=False)
-        return App(self._symbol(tok, 0), ())
+        stream = self.stream
+        # The open applications and lists, innermost last: the head token
+        # (None for a list) and the arguments read so far.
+        frames: list[tuple[Token | None, list[Term]]] = []
+        while True:
+            if stream.at("LBRACK"):
+                stream.next()
+                if not stream.at("RBRACK"):
+                    frames.append((None, []))
+                    continue
+                stream.next()
+                t = self._list([])
+            else:
+                tok = stream.expect("IDENT")
+                if stream.at("LPAREN"):
+                    if tok.text in self.variables:
+                        raise ParseError(
+                            f"variable {tok.text!r} applied to arguments", tok.line, tok.column
+                        )
+                    stream.next()
+                    frames.append((tok, []))
+                    continue
+                is_variable = tok.text in self.variables
+                if not self.allow_reserved:
+                    _check_reserved(tok, is_variable)
+                t = Var(tok.text) if is_variable else App(self._symbol(tok, 0), ())
+            # t is complete: the next argument of the innermost open frame.
+            while frames:
+                head, args = frames[-1]
+                args.append(t)
+                if stream.at("COMMA"):
+                    stream.next()
+                    break
+                frames.pop()
+                if head is None:
+                    stream.expect("RBRACK")
+                    t = self._list(args)
+                else:
+                    stream.expect("RPAREN")
+                    if not self.allow_reserved:
+                        _check_reserved(head, is_variable=False)
+                    t = App(self._symbol(head, len(args)), tuple(args))
+            else:
+                return t
 
-    def _parse_list(self) -> Term:
-        self.stream.expect("LBRACK")
-        items: list[Term] = []
-        if not self.stream.at("RBRACK"):
-            items.append(self.parse())
-            while self.stream.at("COMMA"):
-                self.stream.next()
-                items.append(self.parse())
-        self.stream.expect("RBRACK")
-        nil = App(self._symbol(Token("IDENT", "nil", 0, None), 0), ())
-        out: Term = nil
-        cons = self._symbol(Token("IDENT", "cons", 0, None), 2)
+    def _list(self, items: list[Term]) -> Term:
+        out: Term = App(self._symbol(_NIL, 0), ())
+        cons = self._symbol(_CONS, 2)
         for item in reversed(items):
             out = App(cons, (item, out))
         return out
+
+
+_NIL = Token("IDENT", "nil", 0, None)
+_CONS = Token("IDENT", "cons", 0, None)
 
 
 def _strip_comments(text: str) -> str:
@@ -548,7 +539,7 @@ def parse_system(text: str, allow_reserved: bool = False) -> RewriteSystem:
     """
     stream = TokenStream(tokenize(_strip_comments(text)))
     variables: set[str] = set()
-    arities: dict[str, int] = {}
+    symbols: dict[str, Symbol] = {}
     raw_rules: list[tuple[Term, Term, tuple[Condition, ...], str | None, Token]] = []
     seen_rules = False
 
@@ -574,7 +565,7 @@ def parse_system(text: str, allow_reserved: bool = False) -> RewriteSystem:
             if seen_rules:
                 raise ParseError("duplicate (RULES section", open_tok.line, open_tok.column)
             seen_rules = True
-            term_parser = TermParser(stream, variables, arities, allow_reserved)
+            term_parser = TermParser(stream, variables, symbols, allow_reserved)
             while not stream.at("RPAREN"):
                 raw_rules.append(_parse_rule(stream, term_parser))
             stream.expect("RPAREN")
@@ -647,10 +638,8 @@ def parse_terms(
 ) -> list[Term]:
     """Parse a comma-separated term list (used for CLI argument vectors)."""
     stream = TokenStream(tokenize(text))
-    arities = (
-        {name: sym.arity for name, sym in system.signature.items()} if system else {}
-    )
-    parser = TermParser(stream, set(variables), arities, allow_reserved)
+    symbols = dict(system.signature) if system else {}
+    parser = TermParser(stream, set(variables), symbols, allow_reserved)
     terms = [parser.parse()]
     while stream.at("COMMA"):
         stream.next()
@@ -658,8 +647,6 @@ def parse_terms(
     tok = stream.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    if system is not None:
-        return [_rebind(t, system.signature) for t in terms]
     return terms
 
 

@@ -13,17 +13,12 @@ from .errors import InvalidPosition, NotGround, OverlappingDomains
 
 CONSTRUCTOR = "constructor"
 DEFINED = "defined"
-TUPLE = "tuple"
-TRACE = "trace-constructor"
-
-# Tuple and trace constructors count as constructors in transformed systems.
-CONSTRUCTOR_KINDS = frozenset({CONSTRUCTOR, TUPLE, TRACE})
 
 
 @dataclass(frozen=True, slots=True)
 class Symbol:
-    """A ranked function symbol. Identity is (name, arity); kind is metadata
-    assigned when a system is classified."""
+    """A ranked function symbol. Identity is (name, arity); kind (defined or
+    constructor) is metadata that only a RewriteSystem assigns."""
 
     name: str
     arity: int
@@ -49,8 +44,7 @@ class App:
     """A function symbol applied to its arguments. Two flags are cached at
     construction, so that neither question walks the term: `ground` (no
     variable occurs in it) and `constructor` (every symbol in it is a
-    constructor, tuple and trace constructors included; variables may
-    occur)."""
+    constructor; variables may occur)."""
 
     symbol: Symbol
     args: tuple["Term", ...] = ()
@@ -67,7 +61,7 @@ class App:
                 f"symbol {self.symbol!r} applied to {len(args)} arguments"
             )
         ground = True
-        constructor = self.symbol.kind in CONSTRUCTOR_KINDS
+        constructor = self.symbol.kind != DEFINED
         for a in args:
             if a.__class__ is App:
                 ground = ground and a.ground
@@ -117,8 +111,7 @@ def vars_of(*terms: Term) -> set[str]:
 
 
 def is_constructor_term(t: Term) -> bool:
-    """True iff every symbol in t is a constructor (tuple and trace
-    constructors included); variables are allowed."""
+    """True iff every symbol in t is a constructor; variables are allowed."""
     return t.constructor if t.__class__ is App else True
 
 
@@ -338,14 +331,13 @@ def unify(s: Term, t: Term) -> Subst | None:
     return Subst({x: deep(v) for x, v in triangular.items()})
 
 
-def _as_sugar_list(t: Term) -> list[Term] | None:
+def _cons_spine(t: Term) -> tuple[list[Term], Term]:
+    """The heads along t's cons spine, and the term that ends the spine."""
     items: list[Term] = []
-    while isinstance(t, App) and t.symbol.name == "cons" and t.symbol.arity == 2:
+    while t.__class__ is App and t.symbol.name == "cons" and t.symbol.arity == 2:
         items.append(t.args[0])
         t = t.args[1]
-    if isinstance(t, App) and t.symbol.name == "nil" and not t.args:
-        return items
-    return None
+    return items, t
 
 
 def format_term(t: Term, sugar: bool = False) -> str:
@@ -362,10 +354,19 @@ def format_term(t: Term, sugar: bool = False) -> str:
         elif u.__class__ is Var:
             out.append(u.name)
         else:
+            items, end = _cons_spine(u) if sugar else ((), u)
             if sugar and u.symbol.name.startswith("tuple#"):
                 items, open_, sep, close = u.args, "(", ", ", ")"
-            elif sugar and (listed := _as_sugar_list(u)) is not None:
-                items, open_, sep, close = listed, "[", ", ", "]"
+            elif sugar and end.__class__ is App and end.symbol.name == "nil" and not end.args:
+                open_, sep, close = "[", ", ", "]"
+            elif items:
+                # A chain that does not end in nil prints as nested cons
+                # cells, from this one walk of its spine.
+                stack.append(")" * len(items))
+                stack.append(end)
+                for a in reversed(items):
+                    stack += (",", a, "cons(")
+                continue
             elif u.args:
                 items, open_, sep, close = u.args, u.symbol.name + "(", ",", ")"
             else:

@@ -25,8 +25,6 @@ from .terms import (
     DEFINED,
     ROOT,
     Symbol,
-    TRACE,
-    TUPLE,
     Term,
     Var,
     format_term,
@@ -76,7 +74,7 @@ def _system_vars(system: RewriteSystem) -> set[str]:
 
 
 def tuple_symbol(k: int) -> Symbol:
-    return Symbol(f"tuple#{k}", k, TUPLE)
+    return Symbol(f"tuple#{k}", k)
 
 
 def injective_name(name: str) -> str:
@@ -178,7 +176,6 @@ def remove_fail(rule: Rule) -> None:
 @dataclass(frozen=True, slots=True)
 class Stage:
     name: str
-    input_system: RewriteSystem
     output_system: RewriteSystem
     changes: tuple[str, ...]
 
@@ -231,7 +228,7 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
             break
         name, new_rules, change = applied
         nxt = RewriteSystem(new_rules)
-        stages.append(Stage(name, current, nxt, (change,)))
+        stages.append(Stage(name, nxt, (change,)))
         current = nxt
     else:
         raise RevrwError("pcDCTRS pipeline did not terminate")
@@ -271,7 +268,7 @@ def _pipeline_step(
 
 def _rename_root(t: Term, name: str) -> App:
     assert isinstance(t, App)
-    return App(Symbol(name, t.symbol.arity, DEFINED), t.args)
+    return App(Symbol(name, t.symbol.arity), t.args)
 
 
 def _pair_term(a: Term, b: Term) -> App:
@@ -305,7 +302,7 @@ def _injectivize_rule(rule: Rule, improved: bool) -> Rule:
         assert len(ws) == 1 and not ys
         trace_out: Term = ws[0]
     else:
-        trace_sym = Symbol(rule.label, len(ys) + len(ws), TRACE)
+        trace_sym = Symbol(rule.label, len(ys) + len(ws))
         trace_out = App(trace_sym, (*(Var(y) for y in ys), *ws))
     return Rule(
         rule.label,
@@ -411,11 +408,11 @@ def _invert_rule(rule: Rule) -> Rule:
             f"rule {rule.label} is not injectivization-shaped: {rule!r}"
         )
     base, result, trace_out, cond_parts = shape
-    inv_lhs = App(Symbol(inverse_name(base), 2, DEFINED), (result, trace_out))
+    inv_lhs = App(Symbol(inverse_name(base), 2), (result, trace_out))
     inv_rhs = App(tuple_symbol(len(rule.lhs.args)), rule.lhs.args)
     inv_conditions = tuple(
         Condition(
-            App(Symbol(inverse_name(cbase), 2, DEFINED), (t_i, w_i)),
+            App(Symbol(inverse_name(cbase), 2), (t_i, w_i)),
             App(tuple_symbol(len(args)), args),
         )
         for cbase, args, t_i, w_i in reversed(cond_parts)
@@ -453,9 +450,8 @@ def _injective_shape(rule: Rule):
         if len(trace_vars) != 1 or trace_out != trace_vars[0]:
             return None
     else:
-        # Trace constructor beta(ys..., ws...): recognized structurally so
-        # that re-parsed systems (where the trace kind is not recoverable)
-        # still shape-check.
+        # Trace constructor beta(ys..., ws...): recognized by its shape, as
+        # trace symbols are plain constructors.
         if not isinstance(trace_out, App) or _mangled(trace_out.symbol.name):
             return None
         if not all(isinstance(a, Var) for a in trace_out.args):
@@ -511,7 +507,7 @@ def _encode(system: RewriteSystem, tt: TraceTerm) -> Term:
                 f"{tt.label}: sub-trace of length {len(sub)} cannot arise under top reduction"
             )
         subs.append(_encode(system, sub[0]))
-    sym = Symbol(tt.label, len(values) + len(subs), TRACE)
+    sym = Symbol(tt.label, len(values) + len(subs))
     return App(sym, (*values, *subs))
 
 
@@ -575,7 +571,7 @@ def view_update(
     rebuilt = normalize(backward, App(inv, (new_view, trace_term)), "constructor", bounds)
     if not (
         isinstance(rebuilt, App)
-        and rebuilt.symbol.kind == TUPLE
+        and rebuilt.symbol == tuple_symbol(sym.arity)
         and is_constructor_term(rebuilt)
     ):
         raise UpdateFailed(

@@ -41,7 +41,7 @@ from revrw import (
 )
 from revrw.reversible import _undo, witness_trace_term
 from revrw.rewrite import STRATEGIES
-from revrw.terms import CONSTRUCTOR, CONSTRUCTOR_KINDS, DEFINED, ROOT, Position
+from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
 
@@ -215,6 +215,31 @@ def systems_isomorphic(a: RewriteSystem, b: RewriteSystem) -> bool:
 # Backward completions, enumerated without the matching algorithm
 
 
+def ref_signature(rules) -> list[tuple[str, int, str]]:
+    """(name, arity, kind) of every symbol of the rules, classified in two
+    passes: first the arity of each name in the order a walk meets it (rules
+    in textual order; lhs, rhs, then each condition's lhs and rhs; each term
+    root first, arguments right to left), then its kind: defined iff it is
+    the root of some lhs."""
+    arities: dict[str, int] = {}
+    for r in rules:
+        sides = [r.lhs, r.rhs]
+        for c in r.conditions:
+            sides += [c.lhs, c.rhs]
+        for t in sides:
+            stack = [t]
+            while stack:
+                u = stack.pop()
+                if isinstance(u, App):
+                    arities.setdefault(u.symbol.name, u.symbol.arity)
+                    stack.extend(u.args)
+    defined = {r.lhs.symbol.name for r in rules}
+    return [
+        (name, arity, DEFINED if name in defined else CONSTRUCTOR)
+        for name, arity in arities.items()
+    ]
+
+
 def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Rule, Subst, Pair]]:
     """Brute-force cross-check of backward determinism: enumerate every rule
     carrying the popped label together with every candidate substitution
@@ -298,14 +323,13 @@ class _RefBudget:
 
 
 def ref_is_constructor_term(t: Term) -> bool:
-    """True iff every symbol in t is a constructor (tuple and trace
-    constructors included): a walk that reads the kind of every node and
-    no cached flag."""
+    """True iff every symbol in t is a constructor: a walk that reads the
+    kind of every node and no cached flag."""
     stack = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, App):
-            if u.symbol.kind not in CONSTRUCTOR_KINDS:
+            if u.symbol.kind == DEFINED:
                 return False
             stack.extend(u.args)
     return True

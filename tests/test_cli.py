@@ -50,6 +50,14 @@ def test_rewrite_prints_a_normal_form_below_the_recursion_limit(capsys):
     assert out == "s(" * depth + "0" + ")" * depth + "\n"
 
 
+def test_rewrite_reads_a_term_past_the_recursion_limit(capsys):
+    depth = 3000
+    term = "s(" * depth + "add(0,s(0))" + ")" * depth
+    code, out, err = run(capsys, "rewrite", ADDMULT, "--term", term)
+    assert code == 0 and "Traceback" not in err
+    assert out == "s(" * (depth + 1) + "0" + ")" * (depth + 1) + "\n"
+
+
 def test_forward_backward_round_trip(capsys):
     code, out, _ = run(capsys, "forward", DOUBLE, "--term", "double(s(s(0)))")
     assert code == 0

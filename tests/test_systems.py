@@ -2,23 +2,34 @@ from __future__ import annotations
 
 import pytest
 
+from functools import cache
+
 from revrw import (
     ArityConflict,
     DuplicateLabel,
     ParseError,
+    PreconditionViolated,
     ReservedName,
     RewriteSystem,
     Rule,
     Var,
     format_system,
+    format_trace,
+    injectivize,
+    injectivize_improved,
+    invert,
     parse_system,
     parse_term,
     parse_trace,
+    to_pcdctrs,
     validate,
 )
-from revrw.terms import CONSTRUCTOR, DEFINED, Symbol, TUPLE
+from revrw.terms import CONSTRUCTOR, DEFINED, Symbol
 
-from .conftest import CORPUS_FILES, load
+from .conftest import CORPUS_DIR, CORPUS_FILES, load
+from .oracles import ref_signature
+
+ALL_CORPUS_FILES = sorted(path.name for path in CORPUS_DIR.glob("*.trs"))
 
 
 def test_parse_add_trs():
@@ -155,7 +166,7 @@ def test_classification_monotonicity(corpus):
 def test_signature_kinds_partition(corpus):
     for system in corpus.values():
         for name, sym in system.signature.items():
-            expected = DEFINED if name in system.defined_symbols else sym.kind
+            expected = DEFINED if name in system.defined_symbols else CONSTRUCTOR
             assert sym.kind == expected
             assert (sym.kind == DEFINED) == (name in system.defined_symbols)
 
@@ -186,7 +197,40 @@ def test_round_trip_injectivized_system(needvars):
     forward = injectivize(needvars)
     again = parse_system(format_system(forward), allow_reserved=True)
     assert again == forward
-    assert again.signature["tuple#2"].kind == TUPLE
+
+
+def signature_rows(system: RewriteSystem) -> list[tuple[str, int, str]]:
+    return [(name, sym.arity, sym.kind) for name, sym in system.signature.items()]
+
+
+@cache
+def corpus_and_transforms(name: str) -> tuple[RewriteSystem, ...]:
+    """A corpus system, its pcDCTRS, both injectivizations (the improved one
+    where the system qualifies) and their inverses."""
+    system = load(name)
+    pc, _ = to_pcdctrs(system)
+    forward = injectivize(pc)
+    out = [system, pc, forward, invert(forward)]
+    try:
+        improved = injectivize_improved(pc, system)
+    except PreconditionViolated:
+        return tuple(out)
+    return (*out, improved, invert(improved))
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS_FILES)
+def test_printed_system_reads_back_with_its_signature(name):
+    # Names, order, arities and kinds: trace and tuple symbols come back as
+    # the constructors they were.
+    for system in corpus_and_transforms(name):
+        again = parse_system(format_system(system), allow_reserved=True)
+        assert signature_rows(again) == signature_rows(system)
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS_FILES)
+def test_signature_matches_the_two_pass_classification(name):
+    for system in corpus_and_transforms(name):
+        assert signature_rows(system) == ref_signature(system.rules)
 
 
 def test_parse_term_against_system(addfst):
@@ -209,3 +253,34 @@ def test_parse_term_against_system_below_the_recursion_limit(addmult):
         t = t.args[0]
     assert t.symbol.kind == DEFINED
     assert t.args[1].symbol == Symbol("r", 0) and t.args[1].symbol.kind == CONSTRUCTOR
+
+
+def test_parse_term_past_the_recursion_limit(addmult):
+    depth = 5000
+    t = parse_term("s(" * depth + "0" + ")" * depth, addmult)
+    for _ in range(depth):
+        assert t.symbol is addmult.signature["s"]
+        t = t.args[0]
+    assert t.symbol is addmult.signature["0"] and not t.args
+
+
+def test_parse_trace_with_a_binding_past_the_recursion_limit():
+    depth = 3000
+    text = "[b1(e, {x -> " + "s(" * depth + "0" + ")" * depth + "})]"
+    (tt,) = parse_trace(text)
+    assert format_trace((tt,)) == text
+    t = tt.recorded.get("x")
+    for _ in range(depth):
+        assert t.symbol == Symbol("s", 1)
+        t = t.args[0]
+    assert t.symbol == Symbol("0", 0)
+
+
+def test_parse_errors_deep_inside_a_term_keep_their_location():
+    depth = 3000
+    with pytest.raises(ParseError) as err:
+        parse_term("s(" * depth + "0,)" + ")" * depth)
+    assert str(err.value) == f"expected IDENT, found ')' (line 1, column {2 * depth + 3})"
+    with pytest.raises(ArityConflict) as err:
+        parse_term("f(" * depth + "f(0,0)" + ")" * depth)
+    assert str(err.value) == f"symbol 'f' used with arities 2 and 1 (line 1, column {2 * depth - 1})"

@@ -29,7 +29,7 @@ from revrw import (
     to_pcdctrs,
     unify,
 )
-from revrw.terms import DEFINED, TRACE, TUPLE
+from revrw.terms import DEFINED
 
 from .conftest import CORPUS_DIR, load
 from .oracles import ground_unifiers, ref_is_constructor_term
@@ -233,13 +233,13 @@ def assert_constructor_flags(t):
 
 
 flagged_terms = st.recursive(
-    st.sampled_from([zero, x, y, Symbol("tuple#0", 0, TUPLE)(), Symbol("k", 0, DEFINED)()]),
+    st.sampled_from([zero, x, y, Symbol("tuple#0", 0)(), Symbol("k", 0, DEFINED)()]),
     lambda kids: st.one_of(
         st.builds(lambda a: S(a), kids),
         st.builds(lambda a, b: C(a, b), kids, kids),
         st.builds(lambda a, b: F(a, b), kids, kids),
-        st.builds(lambda a, b: Symbol("tuple#2", 2, TUPLE)(a, b), kids, kids),
-        st.builds(lambda a: Symbol("t#1", 1, TRACE)(a), kids),
+        st.builds(lambda a, b: Symbol("tuple#2", 2)(a, b), kids, kids),
+        st.builds(lambda a: Symbol("t#1", 1)(a), kids),
     ),
     max_leaves=8,
 )
@@ -286,6 +286,21 @@ def test_format_term_plain_and_sugar():
     assert format_term(lst, sugar=True) == "[0, s(0)]"
     tup = Symbol("tuple#2", 2)(zero, lst)
     assert format_term(tup, sugar=True) == "(0, [0, s(0)])"
+
+
+def test_format_term_sugar_on_chains_that_do_not_end_in_nil():
+    cons, nil = Symbol("cons", 2), Symbol("nil", 0)
+    assert format_term(cons(zero, cons(S(zero), x)), sugar=True) == "cons(0,cons(s(0),x))"
+    # Lists inside an improper chain, and an improper chain inside a list.
+    mixed = cons(cons(zero, nil()), cons(nil(), cons(cons(zero, y), Symbol("tuple#2", 2)(x, nil()))))
+    assert format_term(mixed, sugar=True) == "cons([0],cons([],cons(cons(0,y),(x, []))))"
+    assert format_term(cons(mixed, nil()), sugar=True) == (
+        "[cons([0],cons([],cons(cons(0,y),(x, []))))]"
+    )
+    long = x
+    for _ in range(4000):
+        long = cons(zero, long)
+    assert format_term(long, sugar=True) == "cons(0," * 4000 + "x" + ")" * 4000
 
 
 # --- property tests ---------------------------------------------------------
