@@ -211,10 +211,6 @@ def systems_isomorphic(a: RewriteSystem, b: RewriteSystem) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# Backward completions, enumerated without the matching algorithm
-
-
 def ref_signature(rules) -> list[tuple[str, int, str]]:
     """(name, arity, kind) of every symbol of the rules, classified in two
     passes: first the arity of each name in the order a walk meets it (rules
@@ -238,6 +234,10 @@ def ref_signature(rules) -> list[tuple[str, int, str]]:
         (name, arity, DEFINED if name in defined else CONSTRUCTOR)
         for name, arity in arities.items()
     ]
+
+
+# ---------------------------------------------------------------------------
+# Backward completions, enumerated without the matching algorithm
 
 
 def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Rule, Subst, Pair]]:

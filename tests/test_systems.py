@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import pytest
-
 from functools import cache
+
+import pytest
 
 from revrw import (
     ArityConflict,
