@@ -34,9 +34,16 @@ from .transform import (
 _PROPERTIES = ("3ctrs", "dctrs", "constructor", "pcdctrs")
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=DEFAULT_BOUNDS.max_steps, metavar="N")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_BOUNDS.max_depth, metavar="N")
+    p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_BOUNDS.max_steps, metavar="N")
+    p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_BOUNDS.max_depth, metavar="N")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -242,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"revrw: parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"revrw: {exc}", file=sys.stderr)
         return 2
     except RevrwError as exc:

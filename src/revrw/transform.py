@@ -66,13 +66,6 @@ def _rule_vars(rule: Rule) -> set[str]:
     return out
 
 
-def _system_vars(system: RewriteSystem) -> set[str]:
-    out: set[str] = set()
-    for r in system.rules:
-        out |= _rule_vars(r)
-    return out
-
-
 def tuple_symbol(k: int) -> Symbol:
     return Symbol(f"tuple#{k}", k)
 
@@ -176,8 +169,13 @@ def remove_fail(rule: Rule) -> None:
 @dataclass(frozen=True, slots=True)
 class Stage:
     name: str
-    output_system: RewriteSystem
+    rules: tuple[Rule, ...]
     changes: tuple[str, ...]
+
+    @property
+    def output_system(self) -> RewriteSystem:
+        """The system after this stage, built from its rules on each access."""
+        return RewriteSystem(self.rules)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,12 +198,18 @@ _MAX_PIPELINE_STEPS = 10000
 
 def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
     """Exhaustively apply flattening-rhs, flattening-condition, removal-unify
-    and removal-fail (in that priority, first applicable rule in textual
-    order) until the system is a pcDCTRS.
+    and removal-fail until the system is a pcDCTRS: each rule, in textual
+    order, is rewritten with the first applicable operation (in that
+    priority) until none applies. An operation reads only its rule and the
+    symbol kinds, so earlier rules stay inapplicable, except after a
+    removal-fail that deletes a symbol's last rule: the symbol becomes a
+    constructor, so the rules are rebound and the scan restarts at the first
+    rule. The system is built once, at the end.
 
     Input must be a constructor DCTRS whose condition rhs's are constructor
     terms. Terminates: every step removes one defined-symbol occurrence from
-    a non-head position or one constructor-lhs condition or one rule.
+    a non-head position or one constructor-lhs condition or one rule, and
+    only a step that removes a rule restarts the scan.
     """
     if not system.is_dctrs:
         raise PreconditionViolated("input is not a DCTRS")
@@ -219,47 +223,45 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
                     "constructor term"
                 )
 
-    fresh = FreshNames(_system_vars(system))
-    stages: list[Stage] = []
-    current = system
-    for _ in range(_MAX_PIPELINE_STEPS):
-        applied = _pipeline_step(current, fresh)
-        if applied is None:
-            break
-        name, new_rules, change = applied
-        nxt = RewriteSystem(new_rules)
-        stages.append(Stage(name, nxt, (change,)))
-        current = nxt
-    else:
-        raise RevrwError("pcDCTRS pipeline did not terminate")
-
-    report = validate(current, "pcdctrs")
-    if not report.ok:
-        raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
-    return current, PipelineReport(tuple(stages))
-
-
-def _pipeline_step(
-    system: RewriteSystem, fresh: FreshNames
-) -> tuple[str, list[Rule], str] | None:
+    fresh = FreshNames(set().union(*map(_rule_vars, system.rules)))
     ops = (
         ("flattening-rhs", lambda r: flatten_rhs(r, fresh)),
         ("flattening-condition", lambda r: flatten_condition(r, fresh)),
         ("removal-unify", remove_unify),
         ("removal-fail", remove_fail),
     )
-    for rule in system.rules:
+    rules = list(system.rules)
+    stages: list[Stage] = []
+    i = 0
+    while i < len(rules):
+        rule = rules[i]
         for name, op in ops:
             try:
                 new_rule = op(rule)
+                break
             except NotApplicable:
-                continue
-            if new_rule is None:
-                rules = [r for r in system.rules if r.label != rule.label]
-                return name, rules, f"{name} deleted {rule.label}"
-            rules = [new_rule if r.label == rule.label else r for r in system.rules]
-            return name, rules, f"{name} on {rule.label}: {new_rule!r}"
-    return None
+                pass
+        else:
+            i += 1
+            continue
+        if new_rule is not None:
+            rules[i] = new_rule
+            change = f"{name} on {rule.label}: {new_rule!r}"
+        else:
+            del rules[i]
+            change = f"{name} deleted {rule.label}"
+            if all(r.lhs.symbol.name != rule.lhs.symbol.name for r in rules):
+                rules = list(RewriteSystem(rules).rules)
+                i = 0
+        stages.append(Stage(name, tuple(rules), (change,)))
+        if len(stages) == _MAX_PIPELINE_STEPS:
+            raise RevrwError("pcDCTRS pipeline did not terminate")
+
+    current = RewriteSystem(rules) if stages else system
+    report = validate(current, "pcdctrs")
+    if not report.ok:
+        raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
+    return current, PipelineReport(tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +283,7 @@ def injectivize(system: RewriteSystem) -> RewriteSystem:
     the safety-domain bindings (lexicographic order) and the condition trace
     variables."""
     _require_pcdctrs(system)
-    new_rules = []
-    for rule in system.rules:
-        new_rules.append(_injectivize_rule(rule, improved=False))
-    return RewriteSystem(new_rules)
+    return RewriteSystem(_injectivize_rule(r, improved=False) for r in system.rules)
 
 
 def _injectivize_rule(rule: Rule, improved: bool) -> Rule:
@@ -355,21 +354,15 @@ def injectivize_improved(system: RewriteSystem, origin: RewriteSystem) -> Rewrit
     _require_pcdctrs(system)
     if not (origin.is_trs and origin.is_constructor_system):
         raise PreconditionViolated("origin is not a constructor TRS")
-
-    new_rules = []
-    for rule in system.rules:
-        source = origin.rule_by_label(rule.label)
-        if source is None:
-            raise PreconditionViolated(
-                f"origin has no rule labelled {rule.label!r}"
-            )
-        new_rules.append(
-            _injectivize_rule(rule, improved=_qualifies(rule, source, origin))
-        )
-    return RewriteSystem(new_rules)
+    return RewriteSystem(
+        _injectivize_rule(r, improved=_qualifies(r, origin)) for r in system.rules
+    )
 
 
-def _qualifies(rule: Rule, source: Rule, origin: RewriteSystem) -> bool:
+def _qualifies(rule: Rule, origin: RewriteSystem) -> bool:
+    source = origin.rule_by_label(rule.label)
+    if source is None:
+        raise PreconditionViolated(f"origin has no rule labelled {rule.label!r}")
     siblings = [
         r for r in origin.rules_by_root[source.lhs.symbol.name] if r.label != source.label
     ]
@@ -387,10 +380,7 @@ def _qualifies(rule: Rule, source: Rule, origin: RewriteSystem) -> bool:
 def invert(system: RewriteSystem) -> RewriteSystem:
     """Swap rule sides and reverse conditions of an injectivized system:
     f^-1 maps (result, trace) back to the argument tuple."""
-    new_rules = []
-    for rule in system.rules:
-        new_rules.append(_invert_rule(rule))
-    return RewriteSystem(new_rules)
+    return RewriteSystem(_invert_rule(r) for r in system.rules)
 
 
 def is_injectivized(system: RewriteSystem) -> bool:

@@ -14,10 +14,13 @@ from revrw import (
     App,
     BoundExceeded,
     Bounds,
+    FreshNames,
     InvalidPosition,
+    NotApplicable,
     NotGround,
     Pair,
     PreconditionViolated,
+    RevrwError,
     RewriteSystem,
     Rule,
     StepWitness,
@@ -27,21 +30,26 @@ from revrw import (
     UnknownLabel,
     UnsafePair,
     Var,
+    flatten_condition,
+    flatten_rhs,
     forward_successors,
     is_safe,
     format_term,
     is_ground,
     match,
     positions,
+    remove_fail,
+    remove_unify,
     replace,
     safety_domain,
     step,
     subterm,
     term_vars,
+    validate,
 )
 from revrw.reversible import _undo, witness_trace_term
 from revrw.rewrite import STRATEGIES
-from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position
+from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position, vars_of
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
 
@@ -460,3 +468,60 @@ def ref_forward_run(
         pair = Pair(witness.result, (witness_trace_term(system, witness), *pair.trace))
         n += 1
     return pair
+
+
+# ---------------------------------------------------------------------------
+# Reference pcDCTRS pipeline: rebuild the system and rescan from the first
+# rule after every stage
+#
+# This is the loop the library's single pass replaced. Each stage rewrites the
+# first rule, in textual order, that one of the four operations applies to
+# (in priority order), and builds a whole system from the result. Its stage
+# names, changes and stage systems are the specification `to_pcdctrs` is
+# tested against. Input preconditions are not checked here.
+
+
+def ref_to_pcdctrs(system: RewriteSystem):
+    """(pcDCTRS, [(stage name, stage system, changes), ...])."""
+    taken: set[str] = set()
+    for r in system.rules:
+        taken |= term_vars(r.lhs) | term_vars(r.rhs)
+        for c in r.conditions:
+            taken |= vars_of(c.lhs, c.rhs)
+    fresh = FreshNames(taken)
+    ops = (
+        ("flattening-rhs", lambda r: flatten_rhs(r, fresh)),
+        ("flattening-condition", lambda r: flatten_condition(r, fresh)),
+        ("removal-unify", remove_unify),
+        ("removal-fail", remove_fail),
+    )
+    stages = []
+    current = system
+    for _ in range(10000):
+        applied = _ref_pipeline_step(current, ops)
+        if applied is None:
+            break
+        name, new_rules, change = applied
+        current = RewriteSystem(new_rules)
+        stages.append((name, current, (change,)))
+    else:
+        raise RevrwError("pcDCTRS pipeline did not terminate")
+    report = validate(current, "pcdctrs")
+    if not report.ok:
+        raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
+    return current, stages
+
+
+def _ref_pipeline_step(system: RewriteSystem, ops):
+    for rule in system.rules:
+        for name, op in ops:
+            try:
+                new_rule = op(rule)
+            except NotApplicable:
+                continue
+            if new_rule is None:
+                rules = [r for r in system.rules if r.label != rule.label]
+                return name, rules, f"{name} deleted {rule.label}"
+            rules = [new_rule if r.label == rule.label else r for r in system.rules]
+            return name, rules, f"{name} on {rule.label}: {new_rule!r}"
+    return None

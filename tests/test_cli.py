@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from revrw import parse_system
 from revrw.cli import main
 
@@ -175,6 +177,25 @@ def test_reserved_names_rejected_for_transforms_only(capsys, tmp_path):
 def test_missing_file_is_usage_failure(capsys):
     code, _, err = run(capsys, "check", "no-such-file.trs")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rewrite", DOUBLE, "--term", "0", "--max-steps", "0"),
+        ("rewrite", CORPUS_DIR, "--term", "0"),
+        ("rewrite", "not-utf-8.trs", "--term", "0"),
+    ],
+    ids=["zero-max-steps", "directory", "not-utf-8"],
+)
+def test_bad_input_is_a_usage_failure_without_traceback(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-utf-8.trs").write_bytes("(RULES f -> caf\xe9)".encode("latin-1"))
+    try:
+        code, _, err = run(capsys, *argv)
+    except SystemExit as exc:
+        code, err = exc.code, capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
 
 
 def test_cli_round_trip_on_every_corpus_system(capsys, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from revrw import (
@@ -14,6 +16,7 @@ from revrw import (
     encode_trace,
     flatten_condition,
     flatten_rhs,
+    format_system,
     format_term,
     forward_run,
     injectivize,
@@ -31,10 +34,12 @@ from revrw import (
     validate,
     view_update,
 )
+from revrw import transform
 from revrw.systems import RewriteSystem
 from revrw.terms import Var
 
-from .oracles import all_normal_forms, basic_terms, systems_isomorphic
+from .conftest import CORPUS_DIR
+from .oracles import all_normal_forms, basic_terms, ref_to_pcdctrs, systems_isomorphic
 
 
 def expect(text: str) -> RewriteSystem:
@@ -197,6 +202,95 @@ def test_pipeline_preserves_innermost_semantics(simplify_sys):
         ]
         for got in results[1:]:
             assert got == results[0], format_term(t)
+
+
+# An infeasible call: removal-fail deletes g's only rule, g becomes a
+# constructor, and only then can removal-fail delete the earlier rule r1.
+CRAFTED_DELETIONS = """(VAR x y)(CONDITIONTYPE ORIENTED)(RULES
+  f(x) -> y | g(x) == s(y) [r1]
+  g(x) -> x | 0 == s(0) [r2]
+)"""
+
+
+def synthetic_system(rng: random.Random, functions: int, infeasible: bool) -> str:
+    """A constructor DCTRS of the benchmark's compile shape: each f_i has a
+    base rule and a recursive rule calling only f_1..f_i. With `infeasible`,
+    every fourth f_i also gets a rule guarded by a call to a helper h_i whose
+    only rule is infeasible and comes later, so removal-fail empties h_i and
+    then deletes the earlier guarded rule."""
+    rules = []
+    helpers = []
+    for i in range(1, functions + 1):
+        a, b, c = (rng.randint(1, i) for _ in range(3))
+        rules.append(f"f{i}(0,y) -> {rng.choice(['s(y)', 's(0)'])}")
+        shape = i % 3
+        if shape == 0:
+            rules.append(f"f{i}(s(x),y) -> s(f{a}(x,f{b}(x,f{c}(x,y))))")
+        elif shape == 1:
+            rules.append(f"f{i}(s(x),y) -> s(f{c}(w,z)) | s(x) == s(w), f{a}(x,f{b}(x,y)) == z")
+        else:
+            rules.append(f"f{i}(s(x),y) -> f{a}(w,z) | s(x) == s(w), f{b}(x,f{c}(x,y)) == z")
+        if infeasible and i % 4 == 0:
+            rules.append(f"f{i}(s(s(x)),y) -> y | h{i}(x) == s(y)")
+            helpers.append(f"h{i}(x) -> x | 0 == s(0)")
+    body = "\n  ".join(rules + helpers)
+    return f"(VAR x y z w)\n(CONDITIONTYPE ORIENTED)\n(RULES\n  {body}\n)\n"
+
+
+def _pipeline_inputs():
+    for path in sorted(CORPUS_DIR.glob("*.trs")):
+        yield pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+    yield pytest.param(CRAFTED_DELETIONS, id="crafted")
+    for seed in range(24):
+        rng = random.Random(seed)
+        if seed % 2:
+            text = synthetic_system(rng, rng.randint(4, 32), infeasible=True)
+        else:
+            text = synthetic_system(rng, rng.randint(5, 40), infeasible=False)
+        yield pytest.param(text, id=f"synthetic-{seed}")
+
+
+@pytest.mark.parametrize("text", list(_pipeline_inputs()))
+def test_to_pcdctrs_matches_the_rescanning_reference(text):
+    system = parse_system(text)
+    pc, report = to_pcdctrs(system)
+    ref_pc, ref_stages = ref_to_pcdctrs(system)
+    got = [(s.name, s.changes, format_system(s.output_system)) for s in report.stages]
+    want = [(name, changes, format_system(out)) for name, out, changes in ref_stages]
+    assert got == want
+    assert format_system(pc) == format_system(ref_pc)
+
+
+def test_crafted_deletions_need_the_rescan():
+    _, report = to_pcdctrs(parse_system(CRAFTED_DELETIONS))
+    assert [s.changes for s in report.stages] == [
+        ("removal-fail deleted r2",),
+        ("removal-fail deleted r1",),
+    ]
+
+
+def _count_system_builds(monkeypatch, system: RewriteSystem) -> int:
+    builds = []
+
+    def counting(rules):
+        builds.append(rules)
+        return RewriteSystem(rules)
+
+    monkeypatch.setattr(transform, "RewriteSystem", counting)
+    to_pcdctrs(system)
+    monkeypatch.undo()
+    return len(builds)
+
+
+def test_to_pcdctrs_builds_the_system_once_without_deletions(monkeypatch):
+    system = parse_system(synthetic_system(random.Random(1), 40, infeasible=False))
+    assert len(system.rules) == 80
+    assert _count_system_builds(monkeypatch, system) == 1
+
+
+def test_to_pcdctrs_rebuilds_once_per_symbol_emptying_deletion(monkeypatch):
+    # r2 empties g and r1 empties f: two rebinds, then the final build.
+    assert _count_system_builds(monkeypatch, parse_system(CRAFTED_DELETIONS)) == 3
 
 
 # --- injectivize ----------------------------------------------------------------
