@@ -41,7 +41,6 @@ from .reversible import (
     forward_successors,
     is_safe,
     parse_trace,
-    safety_domain,
 )
 from .systems import (
     Condition,
@@ -52,6 +51,7 @@ from .systems import (
     parse_system,
     parse_term,
     parse_terms,
+    safety_domain,
     validate,
 )
 from .terms import (

@@ -14,6 +14,7 @@ import sys
 from .errors import ParseError, RevrwError
 from .reversible import (
     Pair,
+    Trace,
     backward_run,
     format_trace,
     forward_run,
@@ -51,6 +52,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write the output here instead of stdout")
 
 
+def _add_trace(p: argparse.ArgumentParser, required: bool) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--trace", default=None if required else "[]",
+                       help="the trace" + ("" if required else " to resume from"))
+    group.add_argument("--trace-file", metavar="PATH",
+                       help="read the trace from this file ('-' for standard input)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revrw",
@@ -72,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="reduce a term recording a trace")
     _add_common(p)
     p.add_argument("--term", required=True)
-    p.add_argument("--trace", default="[]", help="resume from this trace")
+    _add_trace(p, required=False)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--steps", default="normal", metavar="N|normal")
     _add_bounds(p)
@@ -80,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backward", help="run a trace backwards")
     _add_common(p)
     p.add_argument("--term", required=True)
-    p.add_argument("--trace", required=True)
+    _add_trace(p, required=True)
     _add_bounds(p)
 
     for name, help_text in (
@@ -109,6 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_system(path: str, allow_reserved: bool) -> RewriteSystem:
     with open(path, encoding="utf-8") as handle:
         return parse_system(handle.read(), allow_reserved=allow_reserved)
+
+
+def _read_trace(args: argparse.Namespace) -> Trace:
+    if args.trace_file is None:
+        return parse_trace(args.trace)
+    if args.trace_file == "-":
+        return parse_trace(sys.stdin.read())
+    with open(args.trace_file, encoding="utf-8") as handle:
+        return parse_trace(handle.read())
 
 
 def _parse_steps(text: str) -> int | None:
@@ -181,7 +199,7 @@ def _run(args: argparse.Namespace) -> int:
         bounds = Bounds(args.max_steps, args.max_depth)
         strategy = _default_strategy(system, args.strategy)
         term = parse_term(args.term, system, allow_reserved=True)
-        pair = Pair(term, parse_trace(args.trace))
+        pair = Pair(term, _read_trace(args))
         result = forward_run(system, pair, strategy, _parse_steps(args.steps), bounds)
         _emit(format_term(result.term) + "\n" + format_trace(result.trace) + "\n", args.output)
         return 0
@@ -189,7 +207,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "backward":
         system = _read_system(args.file, allow_reserved=True)
         term = parse_term(args.term, system, allow_reserved=True)
-        pair = Pair(term, parse_trace(args.trace))
+        pair = Pair(term, _read_trace(args))
         result = backward_run(system, pair)
         _emit(format_term(result.term) + "\n", args.output)
         return 0

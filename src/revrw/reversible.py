@@ -11,6 +11,7 @@ recent first; a pair couples a ground term with a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BoundExceeded,
@@ -25,6 +26,7 @@ from .errors import (
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
 from .systems import RewriteSystem, Rule, TermParser, TokenStream, tokenize
 from .terms import (
+    App,
     Position,
     Subst,
     Term,
@@ -34,10 +36,6 @@ from .terms import (
     is_ground,
     match,
     parse_position,
-    replace,
-    subterm,
-    term_vars,
-    vars_of,
 )
 
 
@@ -75,45 +73,36 @@ class SafetyReport:
         return self.ok
 
 
-def safety_domain(rule: Rule) -> frozenset[str]:
-    """Variables a trace term for this rule must record: erased left-hand
-    side variables plus condition-rhs variables not readable from the result
-    and the later condition lhs's."""
-    s_terms = [c.lhs for c in rule.conditions]
-    t_terms = [c.rhs for c in rule.conditions]
-    dom = term_vars(rule.lhs) - vars_of(rule.rhs, *s_terms, *t_terms)
-    for i, t_i in enumerate(t_terms):
-        dom |= term_vars(t_i) - vars_of(rule.rhs, *s_terms[i + 1 :])
-    return frozenset(dom)
-
-
 def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
-    """Check the safety domain equation for every trace term, recursively."""
+    """Check the safety domain equation for every trace term, sub-traces
+    included, in the order they are printed."""
     findings: list[str] = []
-
-    def walk(tr: Trace) -> None:
-        for tt in tr:
-            rule = system.rule_by_label(tt.label)
-            if rule is None:
-                raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
-            if not tt.recorded.is_ground:
-                findings.append(f"{tt.label}: recorded substitution is not ground")
-            need = safety_domain(rule)
-            if tt.recorded.domain != need:
-                findings.append(
-                    f"{tt.label}: recorded domain {sorted(tt.recorded.domain)} "
-                    f"differs from required {sorted(need)}"
-                )
-            if len(tt.sub_traces) != len(rule.conditions):
-                findings.append(
-                    f"{tt.label}: {len(tt.sub_traces)} sub-traces for "
-                    f"{len(rule.conditions)} conditions"
-                )
-            else:
-                for sub in tt.sub_traces:
-                    walk(sub)
-
-    walk(trace)
+    domains = system.safety_domains
+    # The trace terms still to check, innermost sub-traces last.
+    pending = [iter(trace)]
+    while pending:
+        tt = next(pending[-1], None)
+        if tt is None:
+            pending.pop()
+            continue
+        rule = system.rule_by_label(tt.label)
+        if rule is None:
+            raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
+        if not tt.recorded.is_ground:
+            findings.append(f"{tt.label}: recorded substitution is not ground")
+        need = domains[tt.label]
+        if tt.recorded.domain != need:
+            findings.append(
+                f"{tt.label}: recorded domain {sorted(tt.recorded.domain)} "
+                f"differs from required {sorted(need)}"
+            )
+        if len(tt.sub_traces) != len(rule.conditions):
+            findings.append(
+                f"{tt.label}: {len(tt.sub_traces)} sub-traces for "
+                f"{len(rule.conditions)} conditions"
+            )
+        else:
+            pending.append(chain.from_iterable(tt.sub_traces))
     return SafetyReport(not findings, tuple(findings))
 
 
@@ -125,9 +114,7 @@ def _require_safe(system: RewriteSystem, pair: Pair) -> None:
 
 def witness_trace_term(system: RewriteSystem, witness: StepWitness) -> TraceTerm:
     """The trace term recording one step witness (sub-derivations included)."""
-    rule = system.rule_by_label(witness.rule_label)
-    assert rule is not None
-    recorded = witness.sigma.restrict(safety_domain(rule))
+    recorded = witness.sigma.restrict(system.safety_domains[witness.rule_label])
     subs = tuple(
         derivation_trace(system, steps) for steps in witness.sub_witnesses
     )
@@ -185,19 +172,18 @@ def forward_run(
     _require_safe(system, pair)
     if steps is not None and steps <= 0:
         return pair
-    term = pair.term
     recorded: list[TraceTerm] = []
-    for witness in derivation(system, term, strategy, bounds):
-        term = witness.result
+    witness = None
+    for witness in derivation(system, pair.term, strategy, bounds):
         recorded.append(witness_trace_term(system, witness))
         if len(recorded) == steps:
             break
         if steps is None and len(recorded) >= bounds.max_steps:
             raise BoundExceeded("forward run exceeded the step bound")
-    if not recorded:
+    if witness is None:
         return pair
     recorded.reverse()
-    return Pair(term, (*recorded, *pair.trace))
+    return Pair(witness.result, (*recorded, *pair.trace))
 
 
 def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
@@ -205,35 +191,93 @@ def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
     rule, matching the rule rhs against the focus pins theta, and the
     condition sub-traces are played back in reverse order."""
     _require_safe(system, pair)
-    return _backward(system, pair)
-
-
-def _backward(system: RewriteSystem, pair: Pair) -> Pair:
     if not pair.trace:
         raise EmptyTrace("backward step on an empty trace")
-    tt, rest = pair.trace[0], pair.trace[1:]
-    rule = system.rule_by_label(tt.label)
-    if rule is None:
-        raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
-    return Pair(_undo(system, pair.term, tt, rule), rest)
+    return Pair(_backward_to_empty(system, pair.term, pair.trace[:1]), pair.trace[1:])
 
 
-def _undo(
-    system: RewriteSystem,
-    term: Term,
-    tt: TraceTerm,
-    rule: Rule,
-    theta: Subst | None = None,
-) -> Term:
-    try:
-        focus = subterm(term, tt.position)
-    except InvalidPosition:
-        raise TraceMismatch(
-            f"{tt.label}: position {format_position(tt.position)} not in "
-            f"{format_term(term)}"
-        ) from None
-    if theta is None:
-        theta = match(rule.rhs, focus)
+class _Zipper:
+    """A term opened at one position: the ancestors of the focus, root
+    first, each with the index of the child on the path. Moving to another
+    position goes up to the common prefix and down from there; a node is
+    rebuilt when the search goes up through it and only if the focus below
+    it was replaced."""
+
+    __slots__ = ("path", "position", "focus", "changed")
+
+    def __init__(self, term: Term):
+        self.path: list[tuple[App, int]] = []
+        self.position: Position = ()
+        self.focus = term
+        self.changed = False
+
+    def _up(self) -> None:
+        node, i = self.path.pop()
+        if self.changed:
+            args = node.args
+            self.focus = App(node.symbol, args[: i - 1] + (self.focus,) + args[i:])
+        else:
+            self.focus = node
+
+    def move(self, position: Position) -> bool:
+        """Focus the subterm at position; False if the term has none, and
+        then the zipper is only good for `close`."""
+        here = self.position
+        k = min(len(here), len(position))
+        if here[:k] != position[:k]:
+            # Longest common prefix: here[:lo] matches, here[:hi] does not.
+            lo, hi = 0, k
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if here[:mid] == position[:mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            k = lo
+        path = self.path
+        while len(path) > k:
+            self._up()
+        for i in position[k:]:
+            t = self.focus
+            if t.__class__ is not App or not 1 <= i <= len(t.args):
+                return False
+            path.append((t, i))
+            self.focus = t.args[i - 1]
+            self.changed = False
+        self.position = position
+        return True
+
+    def replace(self, t: Term) -> None:
+        self.focus = t
+        self.changed = True
+
+    def close(self) -> Term:
+        while self.path:
+            self._up()
+        self.position = ()
+        return self.focus
+
+
+def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
+    """term with every trace term undone, most recent first."""
+    zipper = _Zipper(term)
+    for tt in trace:
+        rule = system.rule_by_label(tt.label)
+        if rule is None:
+            raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
+        if not zipper.move(tt.position):
+            raise TraceMismatch(
+                f"{tt.label}: position {format_position(tt.position)} not in "
+                f"{format_term(zipper.close())}"
+            )
+        zipper.replace(_undo(system, zipper.focus, tt, rule))
+    return zipper.close()
+
+
+def _undo(system: RewriteSystem, focus: Term, tt: TraceTerm, rule: Rule) -> Term:
+    """The instance of the rule's lhs that the step recorded by tt rewrote
+    into focus."""
+    theta = match(rule.rhs, focus)
     if theta is None:
         raise TraceMismatch(
             f"{tt.label}: right-hand side {format_term(rule.rhs)} does not match "
@@ -248,12 +292,12 @@ def _undo(
                 f"{tt.label}: condition {i + 1} right-hand side is not ground "
                 "during backward playback"
             )
-        sub = _backward_to_empty(system, Pair(start, tt.sub_traces[i]))
-        extension = match(sigma.apply(c.lhs), sub.term)
+        value = _backward_to_empty(system, start, tt.sub_traces[i])
+        extension = match(sigma.apply(c.lhs), value)
         if extension is None:
             raise TraceMismatch(
                 f"{tt.label}: condition {i + 1} left-hand side does not match the "
-                f"replayed value {format_term(sub.term)}"
+                f"replayed value {format_term(value)}"
             )
         sigma = sigma.union(extension)
     rebuilt = sigma.apply(rule.lhs)
@@ -261,20 +305,14 @@ def _undo(
         raise TraceMismatch(
             f"{tt.label}: left-hand side variables remain unbound after playback"
         )
-    return replace(term, tt.position, rebuilt)
-
-
-def _backward_to_empty(system: RewriteSystem, pair: Pair) -> Pair:
-    while pair.trace:
-        pair = _backward(system, pair)
-    return pair
+    return rebuilt
 
 
 def backward_run(system: RewriteSystem, pair: Pair) -> Pair:
     """Apply backward_step until the trace is empty: exactly len(trace)
     top-level steps."""
     _require_safe(system, pair)
-    return _backward_to_empty(system, pair)
+    return Pair(_backward_to_empty(system, pair.term, pair.trace))
 
 
 # ---------------------------------------------------------------------------
@@ -282,58 +320,112 @@ def backward_run(system: RewriteSystem, pair: Pair) -> Pair:
 
 
 def format_trace_term(tt: TraceTerm) -> str:
-    parts = [format_position(tt.position), format_subst(tt.recorded)]
-    parts += [format_trace(sub) for sub in tt.sub_traces]
-    return f"{tt.label}(" + ", ".join(parts) + ")"
+    return _format([tt])
 
 
 def format_trace(trace: Trace) -> str:
-    return "[" + ", ".join(format_trace_term(tt) for tt in trace) + "]"
+    return _format(_bracketed(trace, []))
+
+
+def _bracketed(trace: Trace, stack: list) -> list:
+    """stack with the pieces of trace pushed so that they pop in order."""
+    stack.append("]")
+    for k in range(len(trace) - 1, 0, -1):
+        stack += (trace[k], ", ")
+    if trace:
+        stack.append(trace[0])
+    stack.append("[")
+    return stack
+
+
+def _format(stack: list) -> str:
+    """The text of the trace terms and strings on stack, top first. A trace
+    term's sub-traces go on the stack, so nesting takes no recursion."""
+    out: list[str] = []
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        out.append(
+            f"{item.label}({format_position(item.position)}, {format_subst(item.recorded)}"
+        )
+        stack.append(")")
+        for sub in reversed(item.sub_traces):
+            _bracketed(sub, stack).append(", ")
+    return "".join(out)
 
 
 def parse_trace(text: str) -> Trace:
     """Inverse of format_trace. The substitution arrow may be written `->`
     or the mapsto glyph."""
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(tokenize(text, positions=True))
     trace = _parse_trace(stream)
-    tok = stream.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    stream.finish()
     return trace
 
 
 def _parse_trace(stream: TokenStream) -> Trace:
+    """One bracketed trace. The trace terms whose sub-traces are being read
+    wait on a stack, so nesting takes no recursion."""
+    # Open trace terms, innermost last: the trace they sit in, their label,
+    # position and recorded bindings, and their sub-traces read so far.
+    open_terms: list[tuple[list[TraceTerm], str, Position, Subst, list[Trace]]] = []
     stream.expect("LBRACK")
     items: list[TraceTerm] = []
-    if not stream.at("RBRACK"):
-        items.append(_parse_trace_term(stream))
-        while stream.at("COMMA"):
+    more = not stream.at("RBRACK")
+    while True:
+        if more:
+            label = stream.expect("IDENT").text
+            stream.expect("LPAREN")
+            position = _parse_pos(stream)
+            stream.expect("COMMA")
+            open_terms.append((items, label, position, _parse_subst(stream), []))
+        else:
+            stream.expect("RBRACK")
+            trace = tuple(items)
+            if not open_terms:
+                return trace
+            open_terms[-1][4].append(trace)
+        # The innermost open trace term goes on with a sub-trace or ends.
+        if stream.at("COMMA"):
             stream.next()
-            items.append(_parse_trace_term(stream))
-    stream.expect("RBRACK")
-    return tuple(items)
-
-
-def _parse_trace_term(stream: TokenStream) -> TraceTerm:
-    label = stream.expect("IDENT").text
-    stream.expect("LPAREN")
-    position = _parse_pos(stream)
-    stream.expect("COMMA")
-    recorded = _parse_subst(stream)
-    subs: list[Trace] = []
-    while stream.at("COMMA"):
-        stream.next()
-        subs.append(_parse_trace(stream))
-    stream.expect("RPAREN")
-    return TraceTerm(label, position, recorded, tuple(subs))
+            stream.expect("LBRACK")
+            items = []
+            more = not stream.at("RBRACK")
+            continue
+        stream.expect("RPAREN")
+        items, label, position, recorded, subs = open_terms.pop()
+        items.append(TraceTerm(label, position, recorded, tuple(subs)))
+        more = stream.at("COMMA")
+        if more:
+            stream.next()
 
 
 def _parse_pos(stream: TokenStream) -> Position:
-    parts = [stream.expect("IDENT").text]
+    """A position: one POS token, read in one call, or IDENT tokens joined
+    by dots (e, a single index, or text that is no position at all)."""
+    first = stream.peek()
+    if first is not None and first.kind == "POS":
+        stream.next()
+        if not stream.at("DOT"):
+            path = tuple(map(int, first.text.split(".")))
+            if 0 not in path:
+                return path
+    else:
+        first = stream.expect("IDENT")
+    parts = [first.text]
     while stream.at("DOT"):
         stream.next()
-        parts.append(stream.expect("IDENT").text)
-    return parse_position(".".join(parts))
+        tok = stream.peek()
+        if tok is not None and tok.kind == "POS":
+            parts.append(stream.next().text)
+        else:
+            parts.append(stream.expect("IDENT").text)
+    try:
+        return parse_position(".".join(parts))
+    except InvalidPosition as exc:
+        raise ParseError(str(exc), first.line, first.column) from None
 
 
 def _parse_subst(stream: TokenStream) -> Subst:

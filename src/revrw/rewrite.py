@@ -29,7 +29,6 @@ from .terms import (
     format_term,
     is_ground,
     match,
-    replace,
 )
 
 STRATEGIES = ("any", "innermost", "constructor", "top")
@@ -70,17 +69,77 @@ class _Budget:
             raise BoundExceeded("condition evaluation depth bound exceeded")
 
 
-@dataclass(frozen=True, slots=True)
 class StepWitness:
     """One rewrite step: sigma(lhs) sits at `position` of the input and
     `result` is the input with sigma(rhs) planted there. One derivation
-    (a step sequence) is recorded per condition of the applied rule."""
+    (a step sequence) is recorded per condition of the applied rule.
 
-    position: Position
-    rule_label: str
-    sigma: Subst
-    result: Term
-    sub_witnesses: tuple[tuple["StepWitness", ...], ...] = ()
+    A witness that the engine records keeps sigma(rhs) and the context of
+    its redex, which never changes afterwards, instead of its result;
+    `result` is built from them when it is first read."""
+
+    __slots__ = ("position", "rule_label", "sigma", "sub_witnesses", "_result", "_link")
+
+    def __init__(
+        self,
+        position: Position,
+        rule_label: str,
+        sigma: Subst,
+        result: Term,
+        sub_witnesses: tuple[tuple["StepWitness", ...], ...] = (),
+    ):
+        self.position = position
+        self.rule_label = rule_label
+        self.sigma = sigma
+        self.sub_witnesses = sub_witnesses
+        self._result = result
+        # Not None while _result is the sigma(rhs) to plant in this context.
+        self._link = None
+
+    @classmethod
+    def _in_context(cls, link, rule_label, sigma, rhs, sub_witnesses) -> "StepWitness":
+        """The witness of planting rhs in the hole of the context `link`."""
+        w = cls.__new__(cls)
+        w.position = link[4] if link is not None else ROOT
+        w.rule_label = rule_label
+        w.sigma = sigma
+        w.sub_witnesses = sub_witnesses
+        w._result = rhs
+        w._link = link
+        return w
+
+    @property
+    def result(self) -> Term:
+        if self._link is not None:
+            self._result = _plug(self._link, self._result)
+            self._link = None
+        return self._result
+
+    def _key(self) -> tuple:
+        return (self.position, self.rule_label, self.sigma, self.result, self.sub_witnesses)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StepWitness) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"StepWitness(position={self.position!r}, rule_label={self.rule_label!r}, "
+            f"sigma={self.sigma!r}, result={self.result!r}, "
+            f"sub_witnesses={self.sub_witnesses!r})"
+        )
+
+
+def _plug(link, sub: Term) -> Term:
+    """sub planted in the hole of a context: a chain of links (parent link,
+    symbol, args, i, position of the hole), each standing for the node
+    symbol(args) with its i-th argument replaced by the hole."""
+    while link is not None:
+        link, symbol, args, i, _ = link
+        sub = App(symbol, args[: i - 1] + (sub,) + args[i:])
+    return sub
 
 
 def _check_strategy(strategy: str) -> None:
@@ -95,13 +154,14 @@ def _check_ground(term: Term) -> None:
 
 class _Engine:
     """What one top-level call shares with its nested condition evaluations:
-    the system and the strategy."""
+    the system, the strategy, and whether steps are recorded as witnesses."""
 
-    __slots__ = ("system", "strategy")
+    __slots__ = ("system", "strategy", "record")
 
-    def __init__(self, system: RewriteSystem, strategy: str):
+    def __init__(self, system: RewriteSystem, strategy: str, record: bool = True):
         self.system = system
         self.strategy = strategy
+        self.record = record
 
     def attempt(
         self, node: App, budget: _Budget, depth: int, first: bool
@@ -154,6 +214,8 @@ class _Engine:
     def normalize(
         self, term: Term, budget: _Budget, depth: int
     ) -> tuple[Term, list[StepWitness]]:
+        """The normal form of term and, if the engine records them, the
+        witnesses of its steps."""
         cursor = _Cursor(self, term, depth)
         steps: list[StepWitness] = []
         while True:
@@ -161,22 +223,30 @@ class _Engine:
             if not found:
                 return cursor.term, steps
             budget.spend()
-            steps.append(found[0])
+            if self.record:
+                steps.append(found[0])
 
 
 class _Cursor:
     """A leftmost-innermost (post-order) search over one term that resumes
-    where its last step happened.
+    where its last step happened, with the term kept open between steps.
 
-    The zipper is a stack of frames [node, pattern, i, below], one per
-    ancestor of the subterm being searched: i children of node have been
-    entered, and below says whether a witness was found under node. After
-    a step at position p, everything before p in post-order is unchanged
-    and irreducible, and so is every variable binding of the applied rule:
-    a binding is a subterm of the redex's arguments or of a condition's
-    normal form. The next search therefore enters only the nodes of
-    sigma(rhs) that come from rhs itself (pattern tracks them), then the
-    nodes after p. A subterm in which no defined symbol occurs (its
+    The zipper is a stack of frames [node, args, pattern, i, below, link],
+    one per ancestor of the subterm being searched, root first: node as it
+    was entered, its arguments as they are now, and the rule rhs it
+    instantiates (None: search all of it); i arguments have been entered,
+    below says whether a witness was found under node, and link caches the
+    context of the hole at argument i (see `_link`). A step puts sigma(rhs)
+    in place of the redex in its parent's args and nothing else: a node
+    whose args changed is rebuilt once, when the search leaves it upward,
+    and `term` is the whole term only after a search has run to its end.
+
+    After a step at position p, everything before p in post-order is
+    unchanged and irreducible, and so is every variable binding of the
+    applied rule: a binding is a subterm of the redex's arguments or of a
+    condition's normal form. The next search therefore enters only the
+    nodes of sigma(rhs) that come from rhs itself (pattern tracks them),
+    then the nodes after p. A subterm in which no defined symbol occurs (its
     `constructor` flag is set) holds no redex, so it is never entered.
     """
 
@@ -194,7 +264,8 @@ class _Cursor:
 
     def search(self, budget: _Budget, first: bool) -> list[StepWitness]:
         """The witnesses from the current point on: the first one, planted
-        so that the next search resumes after it, or all of them (term
+        so that the next search resumes after it (None in place of the
+        witness if the engine records none), or all of them (term
         unchanged) with innermost eligibility as in `step`."""
         engine = self.engine
         if engine.strategy == "top":
@@ -209,35 +280,79 @@ class _Cursor:
                 # A variable binding is irreducible, and so is a subterm
                 # without a defined symbol: neither is entered.
                 if (pattern is None or pattern.__class__ is not Var) and not node.constructor:
-                    stack.append([node, pattern, 0, False])
+                    stack.append([node, node.args, pattern, 0, False, None])
                 node = None
                 continue
             frame = stack[-1]
-            t, t_pattern, i = frame[0], frame[1], frame[2]
-            args = t.args
+            args, i = frame[1], frame[3]
             if i < len(args):
-                frame[2] = i + 1
+                frame[3] = i + 1
                 node = args[i]
+                t_pattern = frame[2]
                 pattern = None if t_pattern is None else t_pattern.args[i]
                 continue
             stack.pop()
-            below = frame[3]
+            t = frame[0]
+            if args is not t.args:
+                t = App(t.symbol, args)
+                if stack:
+                    self._put(t)
+                else:
+                    self.term = t
+            below = frame[4]
             if (any_node or not below) and t.symbol.kind == DEFINED:
                 found = engine.attempt(t, budget, depth, first)
                 if found:
-                    position = tuple([f[2] for f in stack])
+                    link = self._link() if stack and engine.record else None
                     if first:
-                        return [self._plant(position, *found[0])]
+                        rule, sigma, derivations = found[0]
+                        rhs = sigma.apply(rule.rhs)
+                        if stack:
+                            self._put(rhs)
+                        else:
+                            self.term = rhs
+                        self.node, self.pattern = rhs, rule.rhs
+                        if not engine.record:
+                            return [None]
+                        return [StepWitness._in_context(link, rule.label, sigma, rhs, derivations)]
                     for rule, sigma, derivations in found:
-                        result = replace(self.term, position, sigma.apply(rule.rhs))
                         out.append(
-                            StepWitness(position, rule.label, sigma, result, derivations)
+                            StepWitness._in_context(
+                                link, rule.label, sigma, sigma.apply(rule.rhs), derivations
+                            )
                         )
                     below = True
             if below and stack:
-                stack[-1][3] = True
+                stack[-1][4] = True
         self.node = None
         return out
+
+    def _put(self, t: Term) -> None:
+        """Put t in the hole under the top frame. The frame's cached link
+        stays good: a link ignores what its hole holds."""
+        frame = self.stack[-1]
+        args, i = frame[1], frame[3]
+        frame[1] = args[: i - 1] + (t,) + args[i:]
+
+    def _link(self):
+        """The context of the hole under the top frame: a chain of links
+        (parent link, symbol, args, i, position of the hole), root last.
+        A frame's cached link is good while the frame's i is the link's,
+        and i changes only while the frame is the top one; so only the
+        frames entered or moved on since the last call get a new link."""
+        stack = self.stack
+        k = len(stack)
+        while k:
+            frame = stack[k - 1]
+            if frame[5] is not None and frame[5][3] == frame[3]:
+                break
+            k -= 1
+        link = stack[k - 1][5] if k else None
+        for frame in stack[k:]:
+            i = frame[3]
+            position = (link[4] if link is not None else ROOT) + (i,)
+            link = frame[5] = (link, frame[0].symbol, frame[1], i, position)
+        return link
 
     def _search_root(self, budget: _Budget, first: bool) -> list[StepWitness]:
         term = self.term
@@ -252,18 +367,6 @@ class _Cursor:
         if first and out:
             self.term = out[0].result
         return out
-
-    def _plant(self, position, rule, sigma, derivations) -> StepWitness:
-        """Put sigma(rhs) in place of the redex under the stack's frames,
-        giving the frames the new path from the root, and resume there."""
-        rhs = sigma.apply(rule.rhs)
-        sub = rhs
-        for frame in reversed(self.stack):
-            t, i = frame[0], frame[2]
-            sub = frame[0] = App(t.symbol, t.args[: i - 1] + (sub,) + t.args[i:])
-        self.term = sub
-        self.node, self.pattern = rhs, rule.rhs
-        return StepWitness(position, rule.label, sigma, sub, derivations)
 
 
 def step(
@@ -300,15 +403,27 @@ def derivation(
 ) -> Iterator[StepWitness]:
     """The successive first steps from term, each as `first_step` of the
     previous result would find it (with its own budget of `bounds`); ends at
-    a normal form. Each search resumes where the previous step happened."""
+    a normal form. Each search resumes where the previous step happened,
+    and the term stays open in between: read a witness's result to see the
+    term after its step."""
     _check_strategy(strategy)
+    _check_ground(term)
     cursor = _Cursor(_Engine(system, strategy), term, 1)
+    last = None
     while True:
-        _check_ground(cursor.term)
         found = cursor.search(_Budget(bounds), True)
         if not found:
+            if last is not None and last._link is not None:
+                # The search that found nothing closed the term.
+                last._result, last._link = cursor.term, None
             return
-        yield found[0]
+        last = found[0]
+        yield last
+        # The term was ground before this step, so it is now iff what the
+        # step planted is: _result holds that, or the whole term once
+        # result has been read.
+        if not is_ground(last._result):
+            _check_ground(last.result)
 
 
 def normalize(
@@ -317,9 +432,12 @@ def normalize(
     strategy: str = "innermost",
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Term:
-    """Repeatedly apply the first witness until no rule applies."""
-    term_, _ = normalize_traced(system, term, strategy, bounds)
-    return term_
+    """Repeatedly apply the first witness until no rule applies. No
+    witness is recorded."""
+    _check_strategy(strategy)
+    _check_ground(term)
+    engine = _Engine(system, strategy, record=False)
+    return engine.normalize(term, _Budget(bounds), 1)[0]
 
 
 def normalize_traced(

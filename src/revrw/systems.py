@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     ArityConflict,
@@ -142,6 +142,12 @@ class RewriteSystem:
     def rule_by_label(self, label: str) -> Rule | None:
         return self._by_label.get(label)
 
+    @cached_property
+    def safety_domains(self) -> dict[str, frozenset[str]]:
+        """`safety_domain` of every rule, by label, worked out once per
+        system on first use."""
+        return {r.label: safety_domain(r) for r in self.rules}
+
     def symbol(self, name: str) -> Symbol | None:
         return self.signature.get(name)
 
@@ -176,6 +182,18 @@ class RewriteSystem:
 
     def __repr__(self) -> str:
         return f"<RewriteSystem of {len(self.rules)} rules>"
+
+
+def safety_domain(rule: Rule) -> frozenset[str]:
+    """Variables a trace term for this rule must record: erased left-hand
+    side variables plus condition-rhs variables not readable from the result
+    and the later condition lhs's."""
+    s_terms = [c.lhs for c in rule.conditions]
+    t_terms = [c.rhs for c in rule.conditions]
+    dom = term_vars(rule.lhs) - vars_of(rule.rhs, *s_terms, *t_terms)
+    for i, t_i in enumerate(t_terms):
+        dom |= term_vars(t_i) - vars_of(rule.rhs, *s_terms[i + 1 :])
+    return frozenset(dom)
 
 
 def _rule_terms(r: Rule) -> Iterator[Term]:
@@ -331,8 +349,7 @@ class Token:
         return self.lines.locate(self.offset)[1] if self.lines else 0
 
 
-_TOKEN_RE = re.compile(
-    r"""
+_TOKENS = r"""
       (?P<WS>\s+)
     | (?P<IDENT>[A-Za-z0-9_][A-Za-z0-9_']*(?:\^(?:i|-1))?(?:\#\d+)?)
     | (?P<ARROW>->|↦)
@@ -347,16 +364,23 @@ _TOKEN_RE = re.compile(
     | (?P<COMMA>,)
     | (?P<DOT>\.)
     | (?P<BAD>.)
-    """,
-    re.VERBOSE,
+    """
+_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
+# Traces also read a dotted position, such as 1.1.2, as one POS token: two or
+# more digit runs joined by dots, where each run is a whole IDENT token of the
+# plain syntax (nothing that could extend an IDENT follows it).
+_TRACE_TOKEN_RE = re.compile(
+    r"(?P<POS>[0-9]+(?:\.[0-9]+)+(?![A-Za-z0-9_'^#]))|" + _TOKENS, re.VERBOSE
 )
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, positions: bool = False) -> list[Token]:
+    """The tokens of text; with positions, a dotted position is one POS
+    token (the trace syntax)."""
     lines = _Lines(text)
     tokens: list[Token] = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
+    for m in (_TRACE_TOKEN_RE if positions else _TOKEN_RE).finditer(text):
         kind = m.lastgroup
         if kind == "WS":
             continue
@@ -366,8 +390,26 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _split_position(tok: Token) -> list[Token]:
+    """The IDENT and DOT tokens that a POS token stands for."""
+    out = []
+    offset = tok.offset
+    for k, part in enumerate(tok.text.split(".")):
+        if k:
+            out.append(Token("DOT", ".", offset, tok.lines))
+            offset += 1
+        out.append(Token("IDENT", part, offset, tok.lines))
+        offset += len(part)
+    return out
+
+
 class TokenStream:
-    def __init__(self, tokens: Sequence[Token]):
+    """Tokens read front to back. Only a position parser takes a POS token
+    as it is; anywhere else it reads as the IDENT and DOT tokens it stands
+    for, so every error names the token and place it would without POS
+    tokens. That costs nothing until a POS token is met out of place."""
+
+    def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._i = 0
 
@@ -378,6 +420,8 @@ class TokenStream:
         i = self._i
         if i >= len(self._tokens):
             last = self._tokens[-1] if self._tokens else None
+            if last is not None and last.kind == "POS":
+                last = _split_position(last)[-1]
             raise ParseError(
                 "unexpected end of input",
                 last.line if last else 1,
@@ -389,6 +433,10 @@ class TokenStream:
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
         if tok.kind != kind or (text is not None and tok.text != text):
+            if tok.kind == "POS":
+                i = self._i = self._i - 1
+                self._tokens[i : i + 1] = _split_position(tok)
+                return self.expect(kind, text)
             want = text if text is not None else kind
             raise ParseError(f"expected {want}, found {tok.text!r}", tok.line, tok.column)
         return tok
@@ -396,6 +444,14 @@ class TokenStream:
     def at(self, kind: str) -> bool:
         i = self._i
         return i < len(self._tokens) and self._tokens[i].kind == kind
+
+    def finish(self) -> None:
+        """Fail unless every token has been read."""
+        tok = self.peek()
+        if tok is not None:
+            if tok.kind == "POS":
+                tok = _split_position(tok)[0]
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
 
 
 RESERVED_VARIABLE_PREFIX = "_"
@@ -644,9 +700,7 @@ def parse_terms(
     while stream.at("COMMA"):
         stream.next()
         terms.append(parser.parse())
-    tok = stream.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    stream.finish()
     return terms
 
 

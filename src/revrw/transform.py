@@ -17,9 +17,9 @@ from .errors import (
     UpdateFailed,
     ViewFailed,
 )
-from .reversible import Trace, TraceTerm, is_safe, safety_domain
+from .reversible import Trace, TraceTerm, is_safe
 from .rewrite import Bounds, DEFAULT_BOUNDS, normalize
-from .systems import Condition, RewriteSystem, Rule, format_system, validate
+from .systems import Condition, RewriteSystem, Rule, format_system, safety_domain, validate
 from .terms import (
     App,
     DEFINED,

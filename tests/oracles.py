@@ -19,6 +19,7 @@ from revrw import (
     NotApplicable,
     NotGround,
     Pair,
+    ParseError,
     PreconditionViolated,
     RevrwError,
     RewriteSystem,
@@ -32,11 +33,13 @@ from revrw import (
     Var,
     flatten_condition,
     flatten_rhs,
+    format_position,
     forward_successors,
     is_safe,
     format_term,
     is_ground,
     match,
+    parse_position,
     positions,
     remove_fail,
     remove_unify,
@@ -47,8 +50,9 @@ from revrw import (
     term_vars,
     validate,
 )
-from revrw.reversible import _undo, witness_trace_term
+from revrw.reversible import TraceTerm, witness_trace_term
 from revrw.rewrite import STRATEGIES
+from revrw.systems import TermParser, TokenStream, tokenize
 from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position, vars_of
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
@@ -273,7 +277,7 @@ def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Ru
         for theta in _candidate_thetas(rule.rhs, focus):
             try:
                 completions.append(
-                    (rule, theta, Pair(_undo(system, pair.term, tt, rule, theta), rest))
+                    (rule, theta, Pair(_ref_undo(system, pair.term, tt, rule, theta), rest))
                 )
             except (TraceMismatch, UnknownLabel):
                 continue
@@ -525,3 +529,144 @@ def _ref_pipeline_step(system: RewriteSystem, ops):
             rules = [new_rule if r.label == rule.label else r for r in system.rules]
             return name, rules, f"{name} on {rule.label}: {new_rule!r}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference backward run: undo each trace term from the root, and slice the
+# trace
+#
+# This is the loop the library's zipper replaced. Every step finds its focus
+# with `subterm` and plants the rebuilt left-hand side with `replace`, both
+# from the root, and goes on with `trace[1:]`. Its results and error messages
+# are the specification `backward_run` is tested against.
+
+
+def ref_backward_run(system: RewriteSystem, pair: Pair) -> Pair:
+    report = is_safe(system, pair.trace)
+    if not report.ok:
+        raise UnsafePair("; ".join(report.findings))
+    return _ref_backward_to_empty(system, pair)
+
+
+def _ref_backward_to_empty(system: RewriteSystem, pair: Pair) -> Pair:
+    while pair.trace:
+        tt, rest = pair.trace[0], pair.trace[1:]
+        rule = system.rule_by_label(tt.label)
+        if rule is None:
+            raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
+        pair = Pair(_ref_undo(system, pair.term, tt, rule), rest)
+    return pair
+
+
+def _ref_undo(system, term, tt, rule, theta=None):
+    try:
+        focus = subterm(term, tt.position)
+    except InvalidPosition:
+        raise TraceMismatch(
+            f"{tt.label}: position {format_position(tt.position)} not in "
+            f"{format_term(term)}"
+        ) from None
+    if theta is None:
+        theta = match(rule.rhs, focus)
+    if theta is None:
+        raise TraceMismatch(
+            f"{tt.label}: right-hand side {format_term(rule.rhs)} does not match "
+            f"{format_term(focus)}"
+        )
+    sigma = theta.union(tt.recorded)
+    for i in range(len(rule.conditions) - 1, -1, -1):
+        c = rule.conditions[i]
+        start = sigma.apply(c.rhs)
+        if not is_ground(start):
+            raise TraceMismatch(
+                f"{tt.label}: condition {i + 1} right-hand side is not ground "
+                "during backward playback"
+            )
+        sub = _ref_backward_to_empty(system, Pair(start, tt.sub_traces[i]))
+        extension = match(sigma.apply(c.lhs), sub.term)
+        if extension is None:
+            raise TraceMismatch(
+                f"{tt.label}: condition {i + 1} left-hand side does not match the "
+                f"replayed value {format_term(sub.term)}"
+            )
+        sigma = sigma.union(extension)
+    rebuilt = sigma.apply(rule.lhs)
+    if not is_ground(rebuilt):
+        raise TraceMismatch(
+            f"{tt.label}: left-hand side variables remain unbound after playback"
+        )
+    return replace(term, tt.position, rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace parser: one token per identifier and per dot, recursive
+# descent
+#
+# This is the parser the library's position tokens and explicit stack
+# replaced, with one fix: a malformed position is a ParseError located at
+# its first token. Its values and errors (type, text, line and column) are
+# the specification `parse_trace` is tested against.
+
+
+def ref_parse_trace(text: str):
+    stream = TokenStream(tokenize(text))
+    trace = _ref_parse_trace(stream)
+    tok = stream.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    return trace
+
+
+def _ref_parse_trace(stream):
+    stream.expect("LBRACK")
+    items = []
+    if not stream.at("RBRACK"):
+        items.append(_ref_parse_trace_term(stream))
+        while stream.at("COMMA"):
+            stream.next()
+            items.append(_ref_parse_trace_term(stream))
+    stream.expect("RBRACK")
+    return tuple(items)
+
+
+def _ref_parse_trace_term(stream):
+    label = stream.expect("IDENT").text
+    stream.expect("LPAREN")
+    position = _ref_parse_pos(stream)
+    stream.expect("COMMA")
+    recorded = _ref_parse_subst(stream)
+    subs = []
+    while stream.at("COMMA"):
+        stream.next()
+        subs.append(_ref_parse_trace(stream))
+    stream.expect("RPAREN")
+    return TraceTerm(label, position, recorded, tuple(subs))
+
+
+def _ref_parse_pos(stream):
+    first = stream.expect("IDENT")
+    parts = [first.text]
+    while stream.at("DOT"):
+        stream.next()
+        parts.append(stream.expect("IDENT").text)
+    try:
+        return parse_position(".".join(parts))
+    except InvalidPosition as exc:
+        raise ParseError(str(exc), first.line, first.column) from None
+
+
+def _ref_parse_subst(stream):
+    stream.expect("LBRACE")
+    bindings = {}
+    if not stream.at("RBRACE"):
+        while True:
+            name = stream.expect("IDENT").text
+            stream.expect("ARROW")
+            parser = TermParser(stream, set(), {}, allow_reserved=True)
+            bindings[name] = parser.parse()
+            if stream.at("COMMA"):
+                stream.next()
+            else:
+                break
+    stream.expect("RBRACE")
+    return Subst(bindings)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from revrw import parse_system
@@ -84,6 +86,69 @@ def test_forward_resume_from_trace(capsys):
 def test_backward_mismatched_trace_is_domain_failure(capsys):
     code, _, err = run(capsys, "backward", DOUBLE, "--term", "0", "--trace", "[b1(1, {})]")
     assert code == 1 and "TraceMismatch" in err
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ("[b1(x.y, {})]", "bad position syntax: 'x.y' (line 1, column 5)"),
+        ("[b1(0, {})]", "position indices are 1-based: '0' (line 1, column 5)"),
+    ],
+)
+def test_malformed_trace_position_is_a_parse_error(capsys, trace, message):
+    code, _, err = run(capsys, "backward", DOUBLE, "--term", "0", "--trace", trace)
+    assert code == 2 and err == f"revrw: parse error: {message}\n"
+
+
+def test_trace_file_round_trip_through_stdin(capsys, monkeypatch, tmp_path):
+    # The trace of add(s^900(0),0) is about 820 KB: more than an operating
+    # system takes as one argument, so it goes through a file or a pipe.
+    depth = 900
+    nat = "s(" * depth + "0" + ")" * depth
+    source = f"add({nat},0)"
+    code, out, _ = run(capsys, "forward", ADDMULT, "--term", source)
+    assert code == 0
+    result, trace = out.splitlines()
+    assert result == nat and len(trace) > 800_000
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace + "\n"))
+    code, out, _ = run(capsys, "backward", ADDMULT, "--term", result, "--trace-file", "-")
+    assert code == 0 and out == source + "\n"
+    path = tmp_path / "trace.txt"
+    path.write_text(trace, encoding="utf-8")
+    code, out, _ = run(capsys, "backward", ADDMULT, "--term", result, "--trace-file", path)
+    assert code == 0 and out == source + "\n"
+
+
+def test_forward_resumes_from_a_trace_file(capsys, tmp_path):
+    _, out, _ = run(capsys, "forward", ADDFST, "--term", "fst(add(s(0),0),0)", "--steps", "1")
+    mid_term, mid_trace = out.splitlines()
+    path = tmp_path / "trace.txt"
+    path.write_text(mid_trace, encoding="utf-8")
+    from_file = run(capsys, "forward", ADDFST, "--term", mid_term, "--trace-file", path)
+    assert from_file == run(capsys, "forward", ADDFST, "--term", mid_term, "--trace", mid_trace)
+    assert from_file[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("backward", DOUBLE, "--term", "0", "--trace", "[]", "--trace-file", "-"),
+        ("forward", DOUBLE, "--term", "0", "--trace", "[]", "--trace-file", "-"),
+        ("backward", DOUBLE, "--term", "0"),
+    ],
+    ids=["backward-both", "forward-both", "backward-neither"],
+)
+def test_trace_and_trace_file_are_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+
+
+def test_missing_trace_file_is_a_usage_failure(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "backward", DOUBLE, "--term", "0", "--trace-file", tmp_path / "none.txt"
+    )
+    assert code == 2 and "Traceback" not in err
 
 
 def test_flatten_output_reparses(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Differential tests of the rewriting engine against the reference engine in
-oracles.py (a recursive walk from the root on every step).
+oracles.py (a recursive walk from the root on every step), and of
+`backward_run` on the traces it records against the reference backward run
+(`subterm` and `replace` from the root on every step).
 
 Every comparison covers the returned value and, when the call raises, the
 exception type and message. The one exception is the step bound: the
@@ -25,6 +27,7 @@ from revrw import (
     RewriteSystem,
     Symbol,
     Term,
+    backward_run,
     first_step,
     forward_run,
     parse_system,
@@ -37,10 +40,12 @@ from revrw.terms import DEFINED
 from .conftest import CORPUS_DIR, load
 from .oracles import (
     SEARCH_BOUNDS,
+    ref_backward_run,
     ref_first_step,
     ref_forward_run,
     ref_normalize_traced,
     ref_step,
+    same_term,
 )
 
 SYSTEMS = tuple(sorted(p.name for p in CORPUS_DIR.glob("*.trs")))
@@ -73,6 +78,18 @@ def assert_same_engine(system: RewriteSystem, term: Term, strategy: str, bounds:
             else:
                 want = _outcome(reference, *args[:-1], unbounded)
         assert got == want, (call.__name__, term, strategy, bounds)
+        if call is forward_run and got[0] == "ok":
+            assert_same_backward(system, term, got[1])
+
+
+def assert_same_backward(system: RewriteSystem, term: Term, pair: Pair):
+    """backward_run as the reference runs it: on the recorded pair, on its
+    trace without the oldest or the newest step, and on the input term (the
+    last two mostly end in TraceMismatch)."""
+    trace = pair.trace
+    for probe in (pair, Pair(pair.term, trace[:-1]), Pair(pair.term, trace[1:]), Pair(term, trace)):
+        got = _outcome(backward_run, system, probe)
+        assert got == _outcome(ref_backward_run, system, probe), (term, probe)
 
 
 def _symbols(system: RewriteSystem) -> tuple[list[Symbol], list[Symbol]]:
@@ -204,3 +221,42 @@ def test_unbound_rhs_variable_reaches_a_foreign_defined_symbol():
     term = App(foreign, (App(system.signature["f"], (App(Symbol("0", 0)),)),))
     for strategy in STRATEGIES:
         assert_same_engine(system, term, strategy, Bounds())
+
+
+def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
+    # In add(s^n(0),s^n(0)) every step moves the redex one level deeper. A
+    # step that rebuilt the path to the root would make the App builds of a
+    # run grow with n squared (16x from n = 100 to 400); the open spine and
+    # the backward zipper keep them linear.
+    original = App.__post_init__
+    count = 0
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        original(self)
+
+    def builds(n: int) -> list[int]:
+        nonlocal count
+        x = _nat(addmult, n)
+        term = App(addmult.signature["add"], (x, x))
+        counts = []
+        with monkeypatch.context() as m:
+            m.setattr(App, "__post_init__", counting)
+            count = 0
+            nf, _ = normalize_traced(addmult, term, "innermost")
+            counts.append(count)
+            count = 0
+            out = forward_run(addmult, Pair(term), "innermost")
+            counts.append(count)
+            count = 0
+            back = backward_run(addmult, out)
+            counts.append(count)
+        assert same_term(nf, _nat(addmult, 2 * n)) and same_term(back.term, term)
+        return counts
+
+    small, large = builds(100), builds(400)
+    for call, a, b in zip(("normalize_traced", "forward_run", "backward_run"), small, large):
+        assert b <= 4.2 * a, (call, a, b)
+    # forward_run takes its final term from the search that closed it.
+    assert large[1] <= large[0]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from revrw import (
@@ -22,14 +24,18 @@ from revrw import (
     safety_domain,
 )
 from revrw.reversible import witness_trace_term
+from revrw.rewrite import STRATEGIES
 
+from .conftest import CORPUS_DIR, load
 from .oracles import (
     basic_terms,
     enumerate_backward_steps,
     reachable_terms,
+    ref_parse_trace,
     reversibly_reachable_terms,
     same_term,
 )
+from .test_engine import random_term
 
 
 def t(system, text):
@@ -398,3 +404,103 @@ def test_trace_parser_nested_subtraces_round_trip():
     trace = parse_trace(text)
     assert format_trace(trace) == text
     assert trace[0].sub_traces[1][0].recorded.get("y") is not None
+
+
+def test_parse_and_format_trace_past_the_recursion_limit():
+    depth = 1000
+    text = "[b1(e, {}, " * depth + "[]" + ")]" * depth
+    trace = parse_trace(text)
+    assert format_trace(trace) == text
+    for _ in range(depth):
+        (tt,) = trace
+        assert tt.label == "b1" and tt.position == ()
+        (trace,) = tt.sub_traces
+    assert trace == ()
+
+
+# --- parse_trace against the token-by-token reference parser -----------------
+
+
+def _parse_outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except Exception as exc:  # the exception itself is what is compared
+        return ("raise", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+HAND_WRITTEN_TRACES = (
+    "[]",
+    "[b1(e, {})]",
+    "[b1(12.3.10, {x -> s(0)}), b2(1, {y ↦ cons(a,nil)})]",
+    "[b1(1 . 2, {}),\n b2( 3.4 , {x -> [a, b]}, [], [b3(2.1.1, {})])]",
+    "[b1(e, {m -> 4, x -> 0}, [b2(e, {})], [b4(e, {y -> 4})])]",
+)
+
+
+@lru_cache(maxsize=1)
+def _recorded_trace_texts() -> tuple[str, ...]:
+    """Printed traces of forward runs over every corpus system and strategy,
+    from basic terms and seeded random terms, plus hand-written ones with
+    multi-digit and spaced-out positions, the mapsto glyph and line
+    breaks."""
+    texts = list(HAND_WRITTEN_TRACES)
+    for path in sorted(CORPUS_DIR.glob("*.trs")):
+        system = load(path.name)
+        rng = random.Random(path.name)
+        starts = basic_terms(system, 4, 12) + [random_term(system, rng, 5) for _ in range(8)]
+        for term in starts:
+            for strategy in STRATEGIES:
+                try:
+                    out = forward_run(system, Pair(term), strategy)
+                except Exception:
+                    continue
+                if out.trace:
+                    texts.append(format_trace(out.trace))
+    return tuple(dict.fromkeys(texts))
+
+
+MUTATION_ALPHABET = "0123456789.,()[]{}eb1xy ->↦\n'_^#i"
+
+
+def _mutate(text: str, rng) -> str:
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        if op == 0 and text:
+            text = text[:k] + text[k + 1 :]
+        elif op == 1:
+            text = text[:k] + rng.choice(MUTATION_ALPHABET) + text[k:]
+        elif op == 2 and text:
+            text = text[:k] + rng.choice(MUTATION_ALPHABET) + text[k + 1 :]
+        elif op == 3:
+            j = rng.randrange(len(text) + 1)
+            text = text[: min(j, k)] + text[max(j, k) :]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:k] + text[min(j, k) : max(j, k)][:12] + text[k:]
+    return text
+
+
+def test_parse_trace_matches_reference_on_recorded_traces():
+    texts = _recorded_trace_texts()
+    assert len(texts) > 100
+    for text in texts:
+        got = _parse_outcome(parse_trace, text)
+        assert got == _parse_outcome(ref_parse_trace, text), text
+        if text not in HAND_WRITTEN_TRACES:
+            assert format_trace(got[1]) == text
+
+
+def test_parse_trace_matches_reference_on_mutated_traces():
+    rng = random.Random(7)
+    texts = _recorded_trace_texts()
+    outcomes = []
+    for _ in range(20000):
+        text = _mutate(rng.choice(texts), rng)
+        got = _parse_outcome(parse_trace, text)
+        assert got == _parse_outcome(ref_parse_trace, text), text
+        outcomes.append(got[0] if got[0] == "ok" else got[2])
+    # Both outcomes occur, and errors of many kinds, malformed positions too.
+    for kind in ("ok", "bad position syntax", "position indices are 1-based", "expected RPAREN",
+                 "unexpected character", "unexpected end of input", "trailing input"):
+        assert any(o.startswith(kind) for o in outcomes), kind

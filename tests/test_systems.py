@@ -21,6 +21,7 @@ from revrw import (
     parse_system,
     parse_term,
     parse_trace,
+    safety_domain,
     to_pcdctrs,
     validate,
 )
@@ -231,6 +232,14 @@ def test_printed_system_reads_back_with_its_signature(name):
 def test_signature_matches_the_two_pass_classification(name):
     for system in corpus_and_transforms(name):
         assert signature_rows(system) == ref_signature(system.rules)
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS_FILES)
+def test_safety_domains_are_those_of_the_rules(name):
+    for system in corpus_and_transforms(name):
+        domains = system.safety_domains
+        assert domains == {r.label: safety_domain(r) for r in system.rules}
+        assert system.safety_domains is domains
 
 
 def test_parse_term_against_system(addfst):
