@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import ParseError, RevrwError
 from .reversible import (
@@ -113,6 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds(p)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing leaves it
+    unchanged, and help and usage text is formatted when printed."""
+    return build_parser()
 
 
 def _read_system(path: str, allow_reserved: bool) -> RewriteSystem:
@@ -260,8 +268,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except ParseError as exc:

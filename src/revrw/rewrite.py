@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceeded, NotGround, PreconditionViolated
+from .programs import RuleProgram, build, run
 from .systems import RewriteSystem, Rule
 from .terms import (
     App,
@@ -28,7 +29,6 @@ from .terms import (
     Var,
     format_term,
     is_ground,
-    match,
 )
 
 STRATEGIES = ("any", "innermost", "constructor", "top")
@@ -154,62 +154,74 @@ def _check_ground(term: Term) -> None:
 
 class _Engine:
     """What one top-level call shares with its nested condition evaluations:
-    the system, the strategy, and whether steps are recorded as witnesses."""
+    the system, the strategy, and whether steps are recorded as witnesses.
 
-    __slots__ = ("system", "strategy", "record")
+    Rules run as the slot programs of `RewriteSystem.programs`: an attempt
+    fills a list of slots, one per rule variable, and builds no dict, no
+    Subst and no term but its condition lhs's. A rule's Subst is built only
+    for a witness that is recorded."""
+
+    __slots__ = ("system", "strategy", "record", "constructor")
 
     def __init__(self, system: RewriteSystem, strategy: str, record: bool = True):
         self.system = system
         self.strategy = strategy
         self.record = record
+        # The constructor strategy binds variables to constructor terms only.
+        self.constructor = strategy == "constructor"
 
     def attempt(
         self, node: App, budget: _Budget, depth: int, first: bool
-    ) -> list[tuple[Rule, Subst, tuple[tuple[StepWitness, ...], ...]]]:
+    ) -> list[tuple[RuleProgram, list[Term], tuple[tuple[StepWitness, ...], ...]]]:
         """The rules (textual order) that rewrite `node` at its root, with
-        their substitutions and condition derivations; at most one if first."""
+        their filled slots and condition derivations; at most one if first."""
         system = self.system
-        rules = system.rules_by_root.get(node.symbol.name, ())
         if not node.ground and system.rules:
             # As matching any rule would, even one with another root symbol.
             raise NotGround(f"match subject must be ground: {format_term(node)}")
+        programs = system.programs.get(node.symbol.name)
+        if not programs or programs[0].arity != node.symbol.arity:
+            return []
+        constructor = self.constructor
         found = []
-        for rule in rules:
-            sigma0 = match(rule.lhs, node)
-            if sigma0 is None:
+        for program in programs:
+            slots = list(program.init)
+            if not run(program.lhs, [node.args], slots, constructor):
                 continue
-            if self.strategy == "constructor" and not sigma0.is_constructor:
+            derivations = self.solve(program, slots, budget, depth)
+            if derivations is None:
                 continue
-            solved = self.solve(rule, sigma0, budget, depth)
-            if solved is None:
-                continue
-            found.append((rule, *solved))
+            found.append((program, slots, derivations))
             if first:
                 break
         return found
 
     def solve(
-        self, rule: Rule, sigma0: Subst, budget: _Budget, depth: int
-    ) -> tuple[Subst, tuple[tuple[StepWitness, ...], ...]] | None:
+        self, program: RuleProgram, slots: list[Term], budget: _Budget, depth: int
+    ) -> tuple[tuple[StepWitness, ...], ...] | None:
+        """Solve the conditions left to right, binding their slots; the
+        derivation of each, or None if one fails."""
         budget.check_depth(depth)
-        sigma = sigma0
         derivations: list[tuple[StepWitness, ...]] = []
-        for c in rule.conditions:
-            lhs = sigma.apply(c.lhs)
-            if not is_ground(lhs):
+        for lhs, ground, rhs in program.conditions:
+            term = build(lhs, slots)
+            if not ground:
                 raise PreconditionViolated(
-                    f"rule {rule.label}: condition lhs {format_term(lhs)} is not ground "
+                    f"rule {program.rule.label}: condition lhs {format_term(term)} is not ground "
                     "under the accumulated substitution (system is not deterministic)"
                 )
-            value, steps = self.normalize(lhs, budget, depth + 1)
-            theta = match(sigma.apply(c.rhs), value)
-            if theta is None:
+            value, steps = self.normalize(term, budget, depth + 1)
+            if not is_ground(value):
+                raise NotGround(f"match subject must be ground: {format_term(value)}")
+            if not run(rhs, [(value,)], slots, self.constructor):
                 return None
-            if self.strategy == "constructor" and not theta.is_constructor:
-                return None
-            sigma = sigma.union(theta)
             derivations.append(tuple(steps))
-        return sigma, tuple(derivations)
+        return tuple(derivations)
+
+    def witness(self, link, program: RuleProgram, slots: list[Term], rhs: Term, derivations):
+        return StepWitness._in_context(
+            link, program.rule.label, program.subst(slots), rhs, derivations
+        )
 
     def normalize(
         self, term: Term, budget: _Budget, depth: int
@@ -305,22 +317,19 @@ class _Cursor:
                 if found:
                     link = self._link() if stack and engine.record else None
                     if first:
-                        rule, sigma, derivations = found[0]
-                        rhs = sigma.apply(rule.rhs)
+                        program, slots, derivations = found[0]
+                        rhs = build(program.rhs, slots)
                         if stack:
                             self._put(rhs)
                         else:
                             self.term = rhs
-                        self.node, self.pattern = rhs, rule.rhs
+                        self.node, self.pattern = rhs, program.rule.rhs
                         if not engine.record:
                             return [None]
-                        return [StepWitness._in_context(link, rule.label, sigma, rhs, derivations)]
-                    for rule, sigma, derivations in found:
-                        out.append(
-                            StepWitness._in_context(
-                                link, rule.label, sigma, sigma.apply(rule.rhs), derivations
-                            )
-                        )
+                        return [engine.witness(link, program, slots, rhs, derivations)]
+                    for program, slots, derivations in found:
+                        rhs = build(program.rhs, slots)
+                        out.append(engine.witness(link, program, slots, rhs, derivations))
                     below = True
             if below and stack:
                 stack[-1][4] = True
@@ -358,14 +367,15 @@ class _Cursor:
         term = self.term
         if not (isinstance(term, App) and term.symbol.kind == DEFINED):
             return []
-        out = [
-            StepWitness(ROOT, rule.label, sigma, sigma.apply(rule.rhs), derivations)
-            for rule, sigma, derivations in self.engine.attempt(
-                term, budget, self.depth, first
-            )
-        ]
-        if first and out:
-            self.term = out[0].result
+        engine = self.engine
+        out = []
+        for program, slots, derivations in engine.attempt(term, budget, self.depth, first):
+            rhs = build(program.rhs, slots)
+            if first:
+                self.term = rhs
+                if not engine.record:
+                    return [None]
+            out.append(engine.witness(None, program, slots, rhs, derivations))
         return out
 
 
@@ -459,7 +469,11 @@ def solve_conditions(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Subst | None:
     """Extend sigma0 with bindings satisfying the rule's conditions left to
-    right, or None if some condition cannot be satisfied."""
+    right, or None if some condition cannot be satisfied. The rule is
+    compiled against sigma0's bindings to ground terms; a binding to a
+    non-ground term counts as unbound, and shows in error messages."""
     _check_strategy(strategy)
-    solved = _Engine(system, strategy).solve(rule, sigma0, _Budget(bounds), 1)
-    return None if solved is None else solved[0]
+    program = RuleProgram(rule, sigma0)
+    slots = list(program.init)
+    solved = _Engine(system, strategy, record=False).solve(program, slots, _Budget(bounds), 1)
+    return None if solved is None else program.subst(slots)

@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     ReservedName,
 )
+from .programs import RuleProgram
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -147,6 +148,22 @@ class RewriteSystem:
         """`safety_domain` of every rule, by label, worked out once per
         system on first use."""
         return {r.label: safety_domain(r) for r in self.rules}
+
+    @cached_property
+    def programs(self) -> dict[str, tuple[RuleProgram, ...]]:
+        """Every rule compiled to its slot programs (see `revrw.programs`),
+        indexed like `rules_by_root`. Compiled once per system, on the first
+        rule attempt: most systems a transformation builds never rewrite."""
+        return {
+            name: tuple(RuleProgram(r) for r in rules)
+            for name, rules in self.rules_by_root.items()
+        }
+
+    @cached_property
+    def views(self) -> dict:
+        """Per-system store of `transform.view_update`'s (forward, backward)
+        systems, filled on first use."""
+        return {}
 
     def symbol(self, name: str) -> Symbol | None:
         return self.signature.get(name)

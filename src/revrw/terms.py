@@ -44,7 +44,10 @@ class App:
     """A function symbol applied to its arguments. Two flags are cached at
     construction, so that neither question walks the term: `ground` (no
     variable occurs in it) and `constructor` (every symbol in it is a
-    constructor; variables may occur)."""
+    constructor; variables may occur).
+
+    Equality and hashing walk the term with an explicit stack, so terms of
+    any depth compare and hash; shared subterms compare by identity."""
 
     symbol: Symbol
     args: tuple["Term", ...] = ()
@@ -70,6 +73,48 @@ class App:
                 ground = False
         _set_ground(self, ground)
         _set_constructor(self, constructor)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            sa, sb = a.symbol, b.symbol
+            if sa is not sb and (sa.name != sb.name or sa.arity != sb.arity):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is App and y.__class__ is App:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: list[int] = []
+        # Terms still to hash, and symbols whose arguments' hashes are the
+        # last in `hashes`.
+        stack: list = [self]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is App:
+                if u.args:
+                    stack.append(u.symbol)
+                    stack.extend(u.args)
+                else:
+                    hashes.append(hash(u.symbol))
+            elif u.__class__ is Var:
+                hashes.append(hash(u))
+            else:
+                k = len(hashes) - u.arity
+                h = hash((u, *hashes[k:]))
+                del hashes[k:]
+                hashes.append(h)
+        return hashes[0]
 
     def __repr__(self) -> str:
         return format_term(self)

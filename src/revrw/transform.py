@@ -518,7 +518,11 @@ def view_update(
     new view and that trace.
 
     `function` names the view function (default: root of the first rule).
-    With improved_origin the improved injectivization is used.
+    With improved_origin the improved injectivization is used. The
+    injectivized and inverted systems are built on the first call for a
+    (function, improved_origin) pair and kept in `system.views`, so later
+    calls on the same system reuse them and the rule programs compiled for
+    them; systems are treated as immutable.
     """
     _require_pcdctrs(system)
     if not system.rules:
@@ -538,11 +542,7 @@ def view_update(
     if not (is_ground(new_view) and is_constructor_term(new_view)):
         raise ViewFailed(f"new view {format_term(new_view)} is not a ground constructor term")
 
-    if improved_origin is not None:
-        forward = injectivize_improved(system, improved_origin)
-    else:
-        forward = injectivize(system)
-    backward = invert(forward)
+    forward, backward = _view_pair(system, name, improved_origin)
 
     fi = forward.signature[injective_name(name)]
     reduced = normalize(forward, App(fi, view_args), "constructor", bounds)
@@ -569,3 +569,20 @@ def view_update(
             f"stuck at {format_term(rebuilt)}"
         )
     return rebuilt.args
+
+
+def _view_pair(
+    system: RewriteSystem, name: str, improved_origin: RewriteSystem | None
+) -> tuple[RewriteSystem, RewriteSystem]:
+    """The (forward, backward) systems of the view function `name`, built
+    once per system. The origin is keyed by identity; the entry keeps it
+    alive, so its id is not reused while the entry exists."""
+    key = (name, id(improved_origin))
+    entry = system.views.get(key)
+    if entry is None:
+        if improved_origin is not None:
+            forward = injectivize_improved(system, improved_origin)
+        else:
+            forward = injectivize(system)
+        entry = system.views[key] = (improved_origin, forward, invert(forward))
+    return entry[1], entry[2]

@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from revrw import RewriteSystem, parse_system
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) draws more examples in the
+# differential tests; other runs keep Hypothesis's default profile.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def examples(count: int) -> settings:
+    """Settings of a differential test: `count` examples, or the loaded
+    profile's number where that is larger, and no deadline."""
+    return settings(max_examples=max(count, settings.default.max_examples), deadline=None)
+
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

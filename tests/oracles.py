@@ -30,16 +30,23 @@ from revrw import (
     TraceMismatch,
     UnknownLabel,
     UnsafePair,
+    UpdateFailed,
     Var,
+    ViewFailed,
     flatten_condition,
     flatten_rhs,
     format_position,
     forward_successors,
     is_safe,
     format_term,
+    injectivize,
+    injectivize_improved,
+    invert,
     is_ground,
     match,
+    normalize,
     parse_position,
+    parse_term,
     positions,
     remove_fail,
     remove_unify,
@@ -53,7 +60,8 @@ from revrw import (
 from revrw.reversible import TraceTerm, witness_trace_term
 from revrw.rewrite import STRATEGIES
 from revrw.systems import TermParser, TokenStream, tokenize
-from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position, vars_of
+from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position, is_constructor_term, vars_of
+from revrw.transform import injective_name, inverse_name, tuple_symbol
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
 
@@ -670,3 +678,69 @@ def _ref_parse_subst(stream):
                 break
     stream.expect("RBRACE")
     return Subst(bindings)
+
+
+def view_sources(pc: RewriteSystem) -> tuple[list[Term], list[Term]]:
+    """The record kinds of view.trs and every record list of up to three
+    records over four prices: the inputs of acceptance criterion 7."""
+    prices = [parse_term(p, pc) for p in ("0", "1", "2", "3")]
+    kinds = [parse_term(k, pc) for k in ("book", "dvd")]
+    rec = pc.signature["r"]
+    cons, nil = pc.signature["cons"], pc.signature["nil"]
+    records = [rec(k, p) for k in kinds for p in prices]
+
+    def lists(depth):
+        if depth == 0:
+            yield nil()
+            return
+        for tail in lists(depth - 1):
+            yield tail
+            for record in records:
+                yield cons(record, tail)
+
+    unique = list(dict.fromkeys(lists(3)))
+    return kinds, unique
+
+
+def ref_view_update(system, view_args, new_view, bounds=Bounds(), function=None,
+                    improved_origin=None):
+    """view_update as it was before its forward and backward systems were
+    kept per system: both are built again on every call."""
+    if not system.is_pcdctrs:
+        raise PreconditionViolated("input is not a pcDCTRS")
+    if not system.rules:
+        raise PreconditionViolated("empty system")
+    name = function or system.rules[0].lhs.symbol.name
+    sym = system.symbol(name)
+    if sym is None or sym.kind != DEFINED:
+        raise ViewFailed(f"{name!r} is not a defined function of the system")
+    view_args = tuple(view_args)
+    if len(view_args) != sym.arity:
+        raise ViewFailed(f"{name} takes {sym.arity} arguments, got {len(view_args)}")
+    for t in view_args:
+        if not (is_ground(t) and is_constructor_term(t)):
+            raise ViewFailed(f"argument {format_term(t)} is not a ground constructor term")
+    if not (is_ground(new_view) and is_constructor_term(new_view)):
+        raise ViewFailed(f"new view {format_term(new_view)} is not a ground constructor term")
+    if improved_origin is not None:
+        forward = injectivize_improved(system, improved_origin)
+    else:
+        forward = injectivize(system)
+    backward = invert(forward)
+    fi = forward.signature[injective_name(name)]
+    reduced = normalize(forward, App(fi, view_args), "constructor", bounds)
+    if not (isinstance(reduced, App) and reduced.symbol == tuple_symbol(2)
+            and is_constructor_term(reduced)):
+        raise ViewFailed(
+            f"{name}^i({', '.join(format_term(t) for t in view_args)}) reduced to "
+            f"{format_term(reduced)}, not a (view, trace) pair"
+        )
+    inv = backward.signature[inverse_name(name)]
+    rebuilt = normalize(backward, App(inv, (new_view, reduced.args[1])), "constructor", bounds)
+    if not (isinstance(rebuilt, App) and rebuilt.symbol == tuple_symbol(sym.arity)
+            and is_constructor_term(rebuilt)):
+        raise UpdateFailed(
+            f"{name}^-1 did not rebuild a source for view {format_term(new_view)}: "
+            f"stuck at {format_term(rebuilt)}"
+        )
+    return rebuilt.args

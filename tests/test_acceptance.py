@@ -44,6 +44,7 @@ from .oracles import (
     basic_terms,
     enumerate_backward_steps,
     systems_isomorphic,
+    view_sources,
 )
 from .test_transform import (
     GOLDEN_ADD_B,
@@ -369,26 +370,6 @@ def test_criterion_6_injectivization_and_inversion_equivalence():
 # --- criterion 7: view-update laws ------------------------------------------------
 
 
-def _sources(pc):
-    prices = [parse_term(p, pc) for p in ("0", "1", "2", "3")]
-    kinds = [parse_term(k, pc) for k in ("book", "dvd")]
-    rec = pc.signature["r"]
-    cons, nil = pc.signature["cons"], pc.signature["nil"]
-    records = [rec(k, p) for k in kinds for p in prices]
-
-    def lists(depth):
-        if depth == 0:
-            yield nil()
-            return
-        for tail in lists(depth - 1):
-            yield tail
-            for record in records:
-                yield cons(record, tail)
-
-    unique = list(dict.fromkeys(lists(3)))
-    return kinds, unique
-
-
 def test_criterion_7_view_update_laws():
     failures: list[str] = []
     view_sys = load("view.trs")
@@ -400,7 +381,7 @@ def test_criterion_7_view_update_laws():
     if rendered != "(book, [r(book,15), r(dvd,24)])":
         failures.append(f"worked example returned {rendered}")
 
-    kinds, sources = _sources(pc)
+    kinds, sources = view_sources(pc)
     nine = parse_term("9", pc)
     cons, nil = pc.signature["cons"], pc.signature["nil"]
     view_fn = pc.signature["view"]

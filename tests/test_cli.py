@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import revrw.cli
 from revrw import parse_system
 from revrw.cli import main
 
@@ -286,3 +287,50 @@ def test_cli_round_trip_on_every_corpus_system(capsys, tmp_path):
         assert out == source + "\n"
         covered += 1
     assert covered >= 6
+
+
+# One process, several subcommands, usage errors in between: each call
+# prints what it prints from a freshly built parser.
+ONE_PROCESS = (
+    ("check", ADDMULT),
+    ("rewrite", DOUBLE, "--term", "double(s(s(0)))", "--max-steps", "0"),
+    ("forward", ADDMULT, "--term", "add(s(0),0)"),
+    ("backward", ADDMULT, "--term", "s(0)"),
+    ("pipeline", ZIP, "--improved"),
+    ("frobnicate", ADDMULT),
+    ("bidir", VIEW, "--args", "book,[r(book,12),r(dvd,24)]", "--new-view", "[15]"),
+    ("rewrite", DOUBLE, "--term", "double(s(s(0)))", "--strategy", "sideways"),
+    ("backward", ADDMULT, "--term", "s(0)", "--trace", "[b2(e, {})]"),
+    ("rewrite", DOUBLE, "--term", "double(s(s(0)))"),
+    ("forward", ADDMULT, "--help"),
+)
+
+
+def _call(capsys, argv):
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    fresh = []
+    for argv in ONE_PROCESS:
+        revrw.cli._parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    builds = 0
+    build_parser = revrw.cli.build_parser
+
+    def counting():
+        nonlocal builds
+        builds += 1
+        return build_parser()
+
+    monkeypatch.setattr(revrw.cli, "build_parser", counting)
+    revrw.cli._parser.cache_clear()
+    shared = [_call(capsys, argv) for argv in ONE_PROCESS]
+    assert builds == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 0]

@@ -1,7 +1,9 @@
 """Differential tests of the rewriting engine against the reference engine in
-oracles.py (a recursive walk from the root on every step), and of
-`backward_run` on the traces it records against the reference backward run
-(`subterm` and `replace` from the root on every step).
+oracles.py (a recursive walk from the root on every step), of the compiled
+rule programs against `terms.match` and `Subst.apply`, of `view_update`
+against the uncached reference, and of `backward_run` on the traces it
+records against the reference backward run (`subterm` and `replace` from
+the root on every step).
 
 Every comparison covers the returned value and, when the call raises, the
 exception type and message. The one exception is the step bound: the
@@ -17,27 +19,40 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+import revrw.transform
 from revrw import (
     App,
     BoundExceeded,
     Bounds,
+    Condition,
     Pair,
+    PreconditionViolated,
     RewriteSystem,
+    Rule,
+    Subst,
     Symbol,
     Term,
+    Var,
     backward_run,
     first_step,
     forward_run,
+    match,
+    normalize,
     parse_system,
     parse_term,
+    positions,
+    replace,
     step,
+    to_pcdctrs,
+    view_update,
 )
+from revrw.programs import RuleProgram, build, run
 from revrw.rewrite import STRATEGIES, normalize_traced
-from revrw.terms import DEFINED
+from revrw.terms import CONSTRUCTOR, DEFINED
 
-from .conftest import CORPUS_DIR, load
+from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     SEARCH_BOUNDS,
     ref_backward_run,
@@ -45,7 +60,9 @@ from .oracles import (
     ref_forward_run,
     ref_normalize_traced,
     ref_step,
+    ref_view_update,
     same_term,
+    view_sources,
 )
 
 SYSTEMS = tuple(sorted(p.name for p in CORPUS_DIR.glob("*.trs")))
@@ -206,7 +223,7 @@ def system_and_term(draw):
     return system, term, draw(st.sampled_from(STRATEGIES)), draw(st.sampled_from(BOUNDS))
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(system_and_term())
 def test_generated_terms_match_reference(case):
     assert_same_engine(*case)
@@ -221,6 +238,22 @@ def test_unbound_rhs_variable_reaches_a_foreign_defined_symbol():
     term = App(foreign, (App(system.signature["f"], (App(Symbol("0", 0)),)),))
     for strategy in STRATEGIES:
         assert_same_engine(system, term, strategy, Bounds())
+
+
+def test_condition_lhs_with_an_unbound_variable_fails_as_the_reference_does():
+    # Not deterministic: y is bound by no earlier part of b1. The engine
+    # knows that when it compiles b1, and raises when it reaches the
+    # condition; b2's condition passes first, so its second one is reached.
+    system = parse_system(
+        "(VAR x y)(RULES f(x) -> y | g(y) == x [b1] "
+        "h(x) -> y | g(x) == x, g(y) == x [b2] g(x) -> x [b3])"
+    )
+    for text in ("f(0)", "h(0)", "c(g(0),h(g(0)))"):
+        term = parse_term(text, system)
+        for strategy in STRATEGIES:
+            assert_same_engine(system, term, strategy, Bounds())
+    with pytest.raises(PreconditionViolated, match=r"^rule b2: condition lhs g\(y\) is not"):
+        normalize(system, parse_term("h(0)", system))
 
 
 def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
@@ -260,3 +293,223 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
         assert b <= 4.2 * a, (call, a, b)
     # forward_run takes its final term from the search that closed it.
     assert large[1] <= large[0]
+
+
+# --- compiled rule programs against terms.match and Subst.apply -------------
+
+G = Symbol("g", 2, DEFINED)
+INNER = (Symbol("c", 2), Symbol("s", 1), Symbol("h", 1, DEFINED))
+LEAVES = (Symbol("0", 0), Symbol("a", 0))
+
+
+def _flip(sym: Symbol) -> Symbol:
+    """The same symbol (name and arity) of the other kind."""
+    return Symbol(sym.name, sym.arity, CONSTRUCTOR if sym.kind == DEFINED else DEFINED)
+
+
+def _terms(leaves, symbols):
+    def apply(kids):
+        return st.sampled_from(symbols).flatmap(
+            lambda sym: st.tuples(*[kids] * sym.arity).map(lambda args: App(sym, args))
+        )
+
+    return st.recursive(leaves, apply, max_leaves=8)
+
+
+# Subjects also use the pattern symbols of the other kind (the SYMBOL op's
+# identity test fails, its name and arity test holds) and a symbol whose
+# name is a pattern symbol's but whose arity is not.
+ground_subterms = _terms(
+    st.sampled_from([App(s) for s in LEAVES + tuple(map(_flip, LEAVES))]),
+    INNER + tuple(map(_flip, INNER)) + (Symbol("c", 1),),
+)
+LHS_VARS = [Var(n) for n in "xyz"]
+# Ground subpatterns compile to EQUAL ops, repeated variables to SAME ops.
+lhs_patterns = _terms(st.sampled_from([App(s) for s in LEAVES] + LHS_VARS), INNER)
+# Condition terms also use variables the left-hand side does not bind.
+condition_patterns = _terms(
+    st.sampled_from([App(s) for s in LEAVES] + LHS_VARS + [Var("u"), Var("v")]), INNER
+)
+
+
+def _shape(t: Term) -> list:
+    """t in preorder with every symbol's kind: equal shapes are equal terms
+    built from symbols of the same kinds."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            out.append(u.name)
+        else:
+            out.append((u.symbol.name, u.symbol.arity, u.symbol.kind))
+            stack.extend(reversed(u.args))
+    return out
+
+
+@st.composite
+def near(draw, t: Term) -> Term:
+    """t, or t with one proper subterm replaced by a ground term."""
+    places = [p for p in positions(t) if p]
+    if not places or draw(st.booleans()):
+        return t
+    return replace(t, draw(st.sampled_from(places)), draw(ground_subterms))
+
+
+def _instance(draw, pattern: Term, names: str) -> Term:
+    sigma = Subst({n: draw(ground_subterms) for n in names})
+    return draw(near(sigma.apply(pattern)))
+
+
+def _match_program(program: RuleProgram, subject: App, constructor: bool):
+    slots = list(program.init)
+    ok = run(program.lhs, [subject.args], slots, constructor)
+    return slots if ok else None
+
+
+@examples(200)
+@given(lhs_patterns, lhs_patterns, condition_patterns, st.data())
+def test_compiled_lhs_and_rhs_agree_with_match_and_apply(p1, p2, rhs, data):
+    lhs = App(G, (p1, p2))
+    subject = _instance(data.draw, lhs, "xyz")
+    program = RuleProgram(Rule("t", lhs, rhs))
+    want = match(lhs, subject)
+    slots = _match_program(program, subject, False)
+    assert (slots is None) == (want is None), (lhs, subject)
+    if want is not None:
+        assert program.subst(slots) == want
+        assert _shape(build(program.rhs, slots)) == _shape(want.apply(rhs))
+    # The constructor strategy: a match that binds a variable to a term in
+    # which a defined symbol occurs fails.
+    slots = _match_program(program, subject, True)
+    assert (slots is not None) == (want is not None and want.is_constructor)
+
+
+@examples(150)
+@given(lhs_patterns, condition_patterns, condition_patterns, condition_patterns, st.data())
+def test_condition_programs_agree_with_match_of_the_instance(p1, clhs, crhs, rhs, data):
+    lhs = App(G, (p1, App(LEAVES[0])))
+    subject = _instance(data.draw, lhs, "xyz")
+    sigma = match(lhs, subject)
+    if sigma is None:
+        return
+    program = RuleProgram(Rule("t", lhs, rhs, (Condition(clhs, crhs),)))
+    slots = _match_program(program, subject, False)
+    template, ground, rhs_program = program.conditions[0]
+    instance = sigma.apply(clhs)
+    # Variables the lhs left unbound stay variables, as in the
+    # PreconditionViolated message.
+    assert _shape(build(template, slots)) == _shape(instance)
+    assert ground == (instance.__class__ is App and instance.ground)
+    # The normal form: an instance of the condition rhs (bound variables
+    # included), or one that differs from it somewhere.
+    value = _instance(data.draw, sigma.apply(crhs), "xyzuv")
+    theta = match(sigma.apply(crhs), value)
+    assert run(rhs_program, [(value,)], slots, False) == (theta is not None), (crhs, value)
+    if theta is not None:
+        both = sigma.union(theta)
+        assert program.subst(slots) == both
+        assert _shape(build(program.rhs, slots)) == _shape(both.apply(rhs))
+
+
+def test_rule_compiled_against_given_bindings():
+    # What solve_conditions compiles: the given bindings to ground terms are
+    # bound (SAME ops), one to a non-ground term is not.
+    zero = App(LEAVES[0])
+    x, y, u = Var("x"), Var("y"), Var("u")
+    c = INNER[0]
+    rule = Rule("t", App(G, (x, y)), u, (Condition(App(INNER[2], (y,)), App(c, (x, u))),))
+    program = RuleProgram(rule, Subst({"x": zero, "y": App(INNER[1], (Var("w"),))}))
+    assert program.lhs == () and program.names[:2] == ["x", "y"]
+    template, ground, rhs_program = program.conditions[0]
+    assert not ground
+    slots = list(program.init)
+    assert repr(build(template, slots)) == "h(s(w))"
+    value = App(c, (zero, App(LEAVES[1])))
+    assert run(rhs_program, [(value,)], slots, False)
+    assert program.subst(slots) == Subst({"x": zero, "y": App(INNER[1], (Var("w"),)), "u": App(LEAVES[1])})
+    assert not run(rhs_program, [(App(c, (App(LEAVES[1]), zero)),)], list(program.init), False)
+
+
+def test_nonlinear_rule_on_deep_copies_below_the_recursion_limit():
+    # eq(x,x) compares its two arguments: two separately built s^5000(0)
+    # compare equal without recursion, and their binding hashes.
+    system = parse_system("(VAR x)(RULES eq(x,x) -> true)")
+    s, zero = Symbol("s", 1), Symbol("0", 0)
+
+    def nat(n: int) -> Term:
+        t = App(zero)
+        for _ in range(n):
+            t = App(s, (t,))
+        return t
+
+    a, b = nat(5000), nat(5000)
+    eq, true = system.signature["eq"], App(system.signature["true"])
+    assert a is not b
+    assert normalize(system, App(eq, (a, b))) == true
+    [witness] = step(system, App(eq, (a, b)))
+    assert witness.sigma == Subst({"x": b}) and hash(witness.sigma) == hash(Subst({"x": a}))
+    assert witness.result == true
+    other = App(eq, (a, App(s, (nat(4998),))))
+    assert normalize(system, other) is other
+
+
+# --- view_update keeps its forward and backward systems per system -----------
+
+
+def _count_view_builds(monkeypatch) -> dict[str, int]:
+    calls = dict.fromkeys(("injectivize", "injectivize_improved", "invert"), 0)
+    for name in calls:
+        original = getattr(revrw.transform, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(revrw.transform, name, counting)
+    return calls
+
+
+def test_view_update_matches_the_uncached_reference_and_builds_once(monkeypatch):
+    calls = _count_view_builds(monkeypatch)
+    pc, _ = to_pcdctrs(load("view.trs"))
+    kinds, sources = view_sources(pc)
+    view_fn, cons, nil = pc.signature["view"], pc.signature["cons"], pc.signature["nil"]
+    nine = parse_term("9", pc)
+    outcomes = set()
+    # Every fifth source: the reference builds both systems on every call.
+    for kind in kinds:
+        for source in sources[::5]:
+            old_view = normalize(pc, view_fn(kind, source), "constructor")
+            flat, rest = nil(), old_view
+            while rest.symbol == cons:
+                flat, rest = cons(nine, flat), rest.args[1]
+            # The unchanged view, one edited in place, one of another shape.
+            for new_view in (old_view, flat, cons(nine, old_view)):
+                got = _outcome(view_update, pc, (kind, source), new_view)
+                assert got == _outcome(ref_view_update, pc, (kind, source), new_view)
+                outcomes.add(got[0] if got[0] == "ok" else got[1].__name__)
+    assert outcomes == {"ok", "UpdateFailed"}
+    # Naming the default view function reuses its entry.
+    view_update(pc, (kind, source), old_view, function="view")
+    assert calls == {"injectivize": 1, "injectivize_improved": 0, "invert": 1}
+
+
+def test_view_update_keeps_plain_and_improved_apart(monkeypatch):
+    calls = _count_view_builds(monkeypatch)
+    zip_sys = load("zip.trs")
+    pc, _ = to_pcdctrs(zip_sys)
+    cases = [
+        (parse_term(a, pc), parse_term(b, pc)) for a, b in
+        (("[0,1]", "[2,3]"), ("[0]", "[1,2,3]"), ("nil", "[4]"))
+    ]
+    for origin in (None, zip_sys, None, zip_sys):
+        for args in cases:
+            old_view = normalize(pc, App(pc.signature["zip"], args), "constructor")
+            for new_view in (old_view, parse_term("[pair(5,6)]", pc)):
+                got = _outcome(view_update, pc, args, new_view, improved_origin=origin)
+                want = _outcome(ref_view_update, pc, args, new_view, improved_origin=origin)
+                assert got == want, (origin, args, new_view)
+    assert calls == {"injectivize": 1, "injectivize_improved": 1, "invert": 2}
+    # Another system object, even an equal one, is another origin.
+    view_update(pc, cases[0], old_view, improved_origin=load("zip.trs"))
+    assert calls["injectivize_improved"] == 2

@@ -5,6 +5,7 @@ import pytest
 from revrw import (
     BoundExceeded,
     Bounds,
+    PreconditionViolated,
     Subst,
     first_step,
     normalize,
@@ -58,6 +59,17 @@ def test_solve_conditions_binds_extra_variable(addmult_pc):
 def test_solve_conditions_fails_on_odd_argument(double_sys):
     rule = double_sys.rule_by_label("b3")
     assert solve_conditions(double_sys, rule, Subst({"x": nat(double_sys, 1)})) is None
+
+
+def test_solve_conditions_without_an_lhs_binding_names_the_open_condition(addmult_pc):
+    # The rule is compiled against sigma0's domain: mult(x,y) == z needs x.
+    rule = addmult_pc.rule_by_label("b4")
+    with pytest.raises(PreconditionViolated) as err:
+        solve_conditions(addmult_pc, rule, Subst({"y": nat(addmult_pc, 1)}))
+    assert str(err.value) == (
+        "rule b4: condition lhs mult(x,s(0)) is not ground under the accumulated "
+        "substitution (system is not deterministic)"
+    )
 
 
 # --- step -------------------------------------------------------------------

@@ -123,6 +123,23 @@ def test_match_nonlinear_consistent():
     assert match(F(x, x), F(S(zero), S(zero))) == Subst({"x": S(zero)})
 
 
+def test_deep_terms_compare_hash_and_match_below_the_recursion_limit():
+    a, b = nat(5000), nat(5000)
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    deep_var = replace(a, (1,) * 5000, x)
+    assert a != deep_var and deep_var == replace(b, (1,) * 5000, x)
+    assert a != S(S(nat(4999)))
+    # Symbols compare by name and arity, not kind.
+    defined_zero = App(Symbol("0", 0, DEFINED), ())
+    c = replace(b, (1,) * 5000, defined_zero)
+    assert c == a and hash(c) == hash(a)
+    # ... and by arity.
+    unary = replace(a, (1,) * 5000, App(Symbol("0", 1), (zero,)))
+    assert unary != replace(b, (1,) * 5000, App(Symbol("0", 2), (zero, zero)))
+    assert match(F(x, x), F(a, b)) == Subst({"x": a})
+    assert match(F(x, x), F(a, S(b))) is None
+
+
 def test_match_rejects_non_ground_subject():
     with pytest.raises(NotGround):
         match(x, S(y))
