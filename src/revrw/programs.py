@@ -25,13 +25,17 @@ A template is a tuple of ops `(op, operand)` in postfix order: SLOT pushes
 a slot, CONST a ground term, BUILD applies a symbol to as many terms as it
 has arguments, popped from the top of the stack.
 
+A rule also compiles, for backward playback, to a `ReplayProgram`: its
+right-hand side as a match program over the focus, its conditions last to
+first, and its left-hand side as a template.
+
 Compiled programs give the results of `terms.match` and `Subst.apply` on
 the same inputs; the tests compare them.
 """
 
 from __future__ import annotations
 
-from .terms import App, Subst, Term, Var
+from .terms import App, EMPTY_SUBST, Subst, Term, Var
 
 SYMBOL, BIND, SAME, EQUAL = range(4)
 SLOT, CONST, BUILD = range(3)
@@ -50,22 +54,17 @@ class RuleProgram:
       deterministic system needs it to be), and its right-hand side as a
       match program over the normal form, where a variable already bound is
       a SAME op;
-    - `rhs`: the right-hand side as a template.
+    - `rhs`: the right-hand side as a template;
+    - `safe`: the safety domain it is given (the variables a trace term
+      records), as (name, slot) pairs by name.
     """
 
-    __slots__ = ("rule", "arity", "names", "init", "lhs", "conditions", "rhs")
+    __slots__ = ("rule", "arity", "names", "init", "lhs", "conditions", "rhs", "safe")
 
-    def __init__(self, rule, given: Subst | None = None):
+    def __init__(self, rule, given: Subst | None = None, domain: frozenset[str] = frozenset()):
         self.rule = rule
-        slot_of: dict[str, int] = {}
         self.names: list[str] = []
-
-        def slot(name: str) -> int:
-            k = slot_of.get(name)
-            if k is None:
-                k = slot_of[name] = len(self.names)
-                self.names.append(name)
-            return k
+        slot = _numbering(self.names)
 
         init: list[Term] = []
         if given is None:
@@ -87,6 +86,7 @@ class RuleProgram:
             conditions.append((lhs, ground, _matcher((c.rhs,), known, slot)))
         self.conditions = tuple(conditions)
         self.rhs = _template(rule.rhs, slot)
+        self.safe = tuple((name, slot(name)) for name in sorted(domain))
         init += (Var(name) for name in self.names[len(init):])
         self.init = tuple(init)
 
@@ -94,6 +94,66 @@ class RuleProgram:
         """The bindings of an attempt's slots (an unbound slot holds its own
         variable, an identity binding, which Subst drops)."""
         return Subst(zip(self.names, slots))
+
+    def recorded(self, slots: list[Term]) -> Subst:
+        """The bindings of the safety domain's slots: what a trace term
+        records. Every empty one is the same Subst."""
+        if not self.safe:
+            return EMPTY_SUBST
+        return Subst({name: slots[k] for name, k in self.safe})
+
+
+class ReplayProgram:
+    """One rule compiled once for backward playback, which undoes a step
+    from its result: the rule's label picks it, matching the right-hand
+    side against the focus binds the right-hand side's variables, the
+    trace term's recorded bindings fill the safety domain, and each
+    condition, last to first, replays its sub-trace from its right-hand
+    side's instance and matches its left-hand side against the value.
+
+    - `init`: as in `RuleProgram`;
+    - `rhs`: the right-hand side as a match program over the one-tuple of
+      the focus;
+    - `safe`: the safety domain, whose bindings the trace term records, as
+      (name, slot) pairs by name;
+    - `conditions`: last to first, the condition's index, its right-hand
+      side as a template, and its left-hand side as a match program over
+      the one-tuple of the replayed value, where a variable bound by then
+      is a SAME op;
+    - `lhs`: the left-hand side as a template.
+    """
+
+    __slots__ = ("rule", "init", "rhs", "safe", "conditions", "lhs")
+
+    def __init__(self, rule, domain: frozenset[str]):
+        self.rule = rule
+        names: list[str] = []
+        slot = _numbering(names)
+        known: set[str] = set()
+        self.rhs = _matcher((rule.rhs,), known, slot)
+        self.safe = tuple((name, slot(name)) for name in sorted(domain))
+        known |= domain
+        self.conditions = tuple(
+            (i, _template(c.rhs, slot), _matcher((c.lhs,), known, slot))
+            for i, c in reversed(tuple(enumerate(rule.conditions)))
+        )
+        self.lhs = _template(rule.lhs, slot)
+        self.init = tuple(Var(name) for name in names)
+
+
+def _numbering(names: list[str]):
+    """The slot of a variable name: its index in names, where a name met
+    for the first time is appended."""
+    slot_of: dict[str, int] = {}
+
+    def slot(name: str) -> int:
+        k = slot_of.get(name)
+        if k is None:
+            k = slot_of[name] = len(names)
+            names.append(name)
+        return k
+
+    return slot
 
 
 def _matcher(patterns: tuple[Term, ...], known: set[str], slot) -> tuple:

@@ -10,6 +10,7 @@ recent first; a pair couples a ground term with a trace.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -18,23 +19,25 @@ from .errors import (
     EmptyTrace,
     InvalidPosition,
     NoStep,
+    NotGround,
     ParseError,
     TraceMismatch,
     UnknownLabel,
     UnsafePair,
 )
+from .programs import ReplayProgram, build, run
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
-from .systems import RewriteSystem, Rule, TermParser, TokenStream, tokenize
+from .systems import IDENT_PATTERN, RewriteSystem, TermParser, TokenStream, tokenize
 from .terms import (
     App,
+    EMPTY_SUBST,
     Position,
+    ROOT,
     Subst,
     Term,
     format_position,
     format_subst,
     format_term,
-    is_ground,
-    match,
     parse_position,
 )
 
@@ -88,12 +91,13 @@ def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
         rule = system.rule_by_label(tt.label)
         if rule is None:
             raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
-        if not tt.recorded.is_ground:
+        recorded = tt.recorded
+        if recorded and not recorded.is_ground:
             findings.append(f"{tt.label}: recorded substitution is not ground")
         need = domains[tt.label]
-        if tt.recorded.domain != need:
+        if not recorded.has_domain(need):
             findings.append(
-                f"{tt.label}: recorded domain {sorted(tt.recorded.domain)} "
+                f"{tt.label}: recorded domain {sorted(recorded.domain)} "
                 f"differs from required {sorted(need)}"
             )
         if len(tt.sub_traces) != len(rule.conditions):
@@ -101,7 +105,7 @@ def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
                 f"{tt.label}: {len(tt.sub_traces)} sub-traces for "
                 f"{len(rule.conditions)} conditions"
             )
-        else:
+        elif tt.sub_traces:
             pending.append(chain.from_iterable(tt.sub_traces))
     return SafetyReport(not findings, tuple(findings))
 
@@ -113,8 +117,13 @@ def _require_safe(system: RewriteSystem, pair: Pair) -> None:
 
 
 def witness_trace_term(system: RewriteSystem, witness: StepWitness) -> TraceTerm:
-    """The trace term recording one step witness (sub-derivations included)."""
-    recorded = witness.sigma.restrict(system.safety_domains[witness.rule_label])
+    """The trace term recording one step witness (sub-derivations included):
+    its bindings of the rule's safety domain."""
+    program = witness.program
+    if program is not None and program.rule is system.rule_by_label(witness.rule_label):
+        recorded = program.recorded(witness.slots)
+    else:
+        recorded = witness.sigma.restrict(system.safety_domains[witness.rule_label])
     subs = tuple(
         derivation_trace(system, steps) for steps in witness.sub_witnesses
     )
@@ -260,48 +269,52 @@ class _Zipper:
 
 def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
     """term with every trace term undone, most recent first."""
+    replays = system.replays
     zipper = _Zipper(term)
     for tt in trace:
-        rule = system.rule_by_label(tt.label)
-        if rule is None:
+        program = replays.get(tt.label)
+        if program is None:
             raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
         if not zipper.move(tt.position):
             raise TraceMismatch(
                 f"{tt.label}: position {format_position(tt.position)} not in "
                 f"{format_term(zipper.close())}"
             )
-        zipper.replace(_undo(system, zipper.focus, tt, rule))
+        zipper.replace(_undo(system, zipper.focus, tt, program))
     return zipper.close()
 
 
-def _undo(system: RewriteSystem, focus: Term, tt: TraceTerm, rule: Rule) -> Term:
+def _undo(system: RewriteSystem, focus: Term, tt: TraceTerm, program: ReplayProgram) -> Term:
     """The instance of the rule's lhs that the step recorded by tt rewrote
-    into focus."""
-    theta = match(rule.rhs, focus)
-    if theta is None:
+    into focus. The pair is safe, so tt records exactly the safety domain,
+    and every slot the replay program reads as bound is bound to a ground
+    term when it is read."""
+    if focus.__class__ is not App or not focus.ground:
+        raise NotGround(f"match subject must be ground: {format_term(focus)}")
+    slots = list(program.init)
+    if not run(program.rhs, [(focus,)], slots, False):
         raise TraceMismatch(
-            f"{tt.label}: right-hand side {format_term(rule.rhs)} does not match "
+            f"{tt.label}: right-hand side {format_term(program.rule.rhs)} does not match "
             f"{format_term(focus)}"
         )
-    sigma = theta.union(tt.recorded)
-    for i in range(len(rule.conditions) - 1, -1, -1):
-        c = rule.conditions[i]
-        start = sigma.apply(c.rhs)
-        if not is_ground(start):
+    recorded = tt.recorded
+    for name, k in program.safe:
+        slots[k] = recorded.get(name)
+    for i, rhs, lhs in program.conditions:
+        start = build(rhs, slots)
+        if start.__class__ is not App or not start.ground:
             raise TraceMismatch(
                 f"{tt.label}: condition {i + 1} right-hand side is not ground "
                 "during backward playback"
             )
         value = _backward_to_empty(system, start, tt.sub_traces[i])
-        extension = match(sigma.apply(c.lhs), value)
-        if extension is None:
+        if not run(lhs, [(value,)], slots, False):
             raise TraceMismatch(
                 f"{tt.label}: condition {i + 1} left-hand side does not match the "
                 f"replayed value {format_term(value)}"
             )
-        sigma = sigma.union(extension)
-    rebuilt = sigma.apply(rule.lhs)
-    if not is_ground(rebuilt):
+    rebuilt = build(program.lhs, slots)
+    if not rebuilt.ground:
         raise TraceMismatch(
             f"{tt.label}: left-hand side variables remain unbound after playback"
         )
@@ -342,14 +355,18 @@ def _format(stack: list) -> str:
     """The text of the trace terms and strings on stack, top first. A trace
     term's sub-traces go on the stack, so nesting takes no recursion."""
     out: list[str] = []
+    # Each position's text, printed once: the steps of a run revisit few
+    # positions, and deep ones are long.
+    texts: dict[Position, str] = {}
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
             continue
-        out.append(
-            f"{item.label}({format_position(item.position)}, {format_subst(item.recorded)}"
-        )
+        where = texts.get(item.position)
+        if where is None:
+            where = texts[item.position] = format_position(item.position)
+        out.append(f"{item.label}({where}, {format_subst(item.recorded)}")
         stack.append(")")
         for sub in reversed(item.sub_traces):
             _bracketed(sub, stack).append(", ")
@@ -358,11 +375,91 @@ def _format(stack: list) -> str:
 
 def parse_trace(text: str) -> Trace:
     """Inverse of format_trace. The substitution arrow may be written `->`
-    or the mapsto glyph."""
-    stream = TokenStream(tokenize(text, positions=True))
-    trace = _parse_trace(stream)
-    stream.finish()
+    or the mapsto glyph.
+
+    Text as format_trace prints it is read by `_read_printed`; any other
+    text, and every malformed one, is read again by the token reader."""
+    trace = _read_printed(text)
+    if trace is None:
+        stream = TokenStream(tokenize(text, positions=True))
+        trace = _parse_trace(stream)
+        stream.finish()
     return trace
+
+
+# A trace term's head as format_trace prints it: the label, the position as
+# one group (digits and dots, checked when read), and the brace that opens
+# the recorded bindings, or `{}` (a third group). Compiled on first use, and
+# then found in the re module's cache.
+_HEAD = "(" + IDENT_PATTERN + r")\((e|[0-9][0-9.]*), \{(\})?"
+
+
+def _read_printed(text: str) -> Trace | None:
+    """The trace in text, or None unless text is what format_trace prints
+    (whitespace around it aside). Each trace term's head is one regex match;
+    non-empty bindings go to `_parse_subst` over their span's tokens. The
+    trace terms whose sub-traces are being read wait on a stack, as in
+    `_parse_trace`."""
+    end = len(text.rstrip())
+    i = len(text) - len(text.lstrip())
+    if not text.startswith("[", i):
+        return None
+    i += 1
+    head = re.compile(_HEAD).match
+    positions: dict[str, Position] = {}
+    open_terms: list[tuple[list[TraceTerm], str, Position, Subst, list[Trace]]] = []
+    items: list[TraceTerm] = []
+    more = not text.startswith("]", i)
+    while True:
+        if more:
+            m = head(text, i)
+            if m is None:
+                return None
+            label, where, empty = m.groups()
+            i = m.end()
+            position = positions.get(where)
+            if position is None:
+                try:
+                    position = ROOT if where == "e" else tuple(map(int, where.split(".")))
+                except ValueError:  # an empty index, or one too long for int
+                    return None
+                if 0 in position:
+                    return None
+                positions[where] = position
+            if empty:
+                recorded = EMPTY_SUBST
+            else:
+                j = text.find("}", i) + 1
+                if not j:
+                    return None
+                try:
+                    recorded = _parse_subst(TokenStream(tokenize(text, True, i - 1, j)))
+                except ParseError:
+                    return None
+                i = j
+            open_terms.append((items, label, position, recorded, []))
+        else:
+            i += 1
+            trace = tuple(items)
+            if not open_terms:
+                return trace if i == end else None
+            open_terms[-1][4].append(trace)
+        # The innermost open trace term goes on with a sub-trace or ends.
+        if text.startswith(", [", i):
+            i += 3
+            items = []
+            more = not text.startswith("]", i)
+            continue
+        if not text.startswith(")", i):
+            return None
+        items, label, position, recorded, subs = open_terms.pop()
+        items.append(TraceTerm(label, position, recorded, tuple(subs)))
+        i += 1
+        more = text.startswith(", ", i)
+        if more:
+            i += 2
+        elif not text.startswith("]", i):
+            return None
 
 
 def _parse_trace(stream: TokenStream) -> Trace:
@@ -403,15 +500,11 @@ def _parse_trace(stream: TokenStream) -> Trace:
 
 
 def _parse_pos(stream: TokenStream) -> Position:
-    """A position: one POS token, read in one call, or IDENT tokens joined
-    by dots (e, a single index, or text that is no position at all)."""
+    """A position: POS and IDENT tokens joined by dots (one POS token, e, a
+    single index, or text that is no position at all)."""
     first = stream.peek()
     if first is not None and first.kind == "POS":
         stream.next()
-        if not stream.at("DOT"):
-            path = tuple(map(int, first.text.split(".")))
-            if 0 not in path:
-                return path
     else:
         first = stream.expect("IDENT")
     parts = [first.text]
@@ -433,10 +526,16 @@ def _parse_subst(stream: TokenStream) -> Subst:
     bindings: dict[str, Term] = {}
     if not stream.at("RBRACE"):
         while True:
-            name = stream.expect("IDENT").text
+            tok = stream.expect("IDENT")
+            if tok.text in bindings:
+                raise ParseError(
+                    f"variable {tok.text!r} is bound twice in a recorded substitution",
+                    tok.line,
+                    tok.column,
+                )
             stream.expect("ARROW")
             parser = TermParser(stream, set(), {}, allow_reserved=True)
-            bindings[name] = parser.parse()
+            bindings[tok.text] = parser.parse()
             if stream.at("COMMA"):
                 stream.next()
             else:

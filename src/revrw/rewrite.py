@@ -74,11 +74,15 @@ class StepWitness:
     `result` is the input with sigma(rhs) planted there. One derivation
     (a step sequence) is recorded per condition of the applied rule.
 
-    A witness that the engine records keeps sigma(rhs) and the context of
-    its redex, which never changes afterwards, instead of its result;
-    `result` is built from them when it is first read."""
+    A witness that the engine records keeps its rule's `program` and the
+    `slots` the attempt filled, instead of sigma, and sigma(rhs) and the
+    context of its redex, which never changes afterwards, instead of its
+    result; `sigma` and `result` are built from them when first read. A
+    witness built from a sigma has no program (None)."""
 
-    __slots__ = ("position", "rule_label", "sigma", "sub_witnesses", "_result", "_link")
+    __slots__ = (
+        "position", "rule_label", "sub_witnesses", "program", "slots", "_sigma", "_result", "_link"
+    )
 
     def __init__(
         self,
@@ -90,23 +94,32 @@ class StepWitness:
     ):
         self.position = position
         self.rule_label = rule_label
-        self.sigma = sigma
         self.sub_witnesses = sub_witnesses
+        self.program = self.slots = None
+        self._sigma = sigma
         self._result = result
         # Not None while _result is the sigma(rhs) to plant in this context.
         self._link = None
 
     @classmethod
-    def _in_context(cls, link, rule_label, sigma, rhs, sub_witnesses) -> "StepWitness":
+    def _in_context(cls, link, program, slots, rhs, sub_witnesses) -> "StepWitness":
         """The witness of planting rhs in the hole of the context `link`."""
         w = cls.__new__(cls)
         w.position = link[4] if link is not None else ROOT
-        w.rule_label = rule_label
-        w.sigma = sigma
+        w.rule_label = program.rule.label
         w.sub_witnesses = sub_witnesses
+        w.program = program
+        w.slots = slots
+        w._sigma = None
         w._result = rhs
         w._link = link
         return w
+
+    @property
+    def sigma(self) -> Subst:
+        if self._sigma is None:
+            self._sigma = self.program.subst(self.slots)
+        return self._sigma
 
     @property
     def result(self) -> Term:
@@ -158,8 +171,8 @@ class _Engine:
 
     Rules run as the slot programs of `RewriteSystem.programs`: an attempt
     fills a list of slots, one per rule variable, and builds no dict, no
-    Subst and no term but its condition lhs's. A rule's Subst is built only
-    for a witness that is recorded."""
+    Subst and no term but its condition lhs's. A recorded witness keeps the
+    program and its slots."""
 
     __slots__ = ("system", "strategy", "record", "constructor")
 
@@ -217,11 +230,6 @@ class _Engine:
                 return None
             derivations.append(tuple(steps))
         return tuple(derivations)
-
-    def witness(self, link, program: RuleProgram, slots: list[Term], rhs: Term, derivations):
-        return StepWitness._in_context(
-            link, program.rule.label, program.subst(slots), rhs, derivations
-        )
 
     def normalize(
         self, term: Term, budget: _Budget, depth: int
@@ -326,10 +334,10 @@ class _Cursor:
                         self.node, self.pattern = rhs, program.rule.rhs
                         if not engine.record:
                             return [None]
-                        return [engine.witness(link, program, slots, rhs, derivations)]
+                        return [StepWitness._in_context(link, program, slots, rhs, derivations)]
                     for program, slots, derivations in found:
                         rhs = build(program.rhs, slots)
-                        out.append(engine.witness(link, program, slots, rhs, derivations))
+                        out.append(StepWitness._in_context(link, program, slots, rhs, derivations))
                     below = True
             if below and stack:
                 stack[-1][4] = True
@@ -375,7 +383,7 @@ class _Cursor:
                 self.term = rhs
                 if not engine.record:
                     return [None]
-            out.append(engine.witness(None, program, slots, rhs, derivations))
+            out.append(StepWitness._in_context(None, program, slots, rhs, derivations))
         return out
 
 

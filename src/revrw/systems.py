@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     ReservedName,
 )
-from .programs import RuleProgram
+from .programs import ReplayProgram, RuleProgram
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -154,10 +154,19 @@ class RewriteSystem:
         """Every rule compiled to its slot programs (see `revrw.programs`),
         indexed like `rules_by_root`. Compiled once per system, on the first
         rule attempt: most systems a transformation builds never rewrite."""
+        domains = self.safety_domains
         return {
-            name: tuple(RuleProgram(r) for r in rules)
+            name: tuple(RuleProgram(r, domain=domains[r.label]) for r in rules)
             for name, rules in self.rules_by_root.items()
         }
+
+    @cached_property
+    def replays(self) -> dict[str, ReplayProgram]:
+        """Every rule compiled for backward playback (see
+        `revrw.programs.ReplayProgram`), by label. Compiled once per
+        system, on its first backward step."""
+        domains = self.safety_domains
+        return {r.label: ReplayProgram(r, domains[r.label]) for r in self.rules}
 
     @cached_property
     def views(self) -> dict:
@@ -366,9 +375,12 @@ class Token:
         return self.lines.locate(self.offset)[1] if self.lines else 0
 
 
+# An identifier: a name, then the suffixes of generated symbols (f^i, f^-1,
+# tuple#2).
+IDENT_PATTERN = r"[A-Za-z0-9_][A-Za-z0-9_']*(?:\^(?:i|-1))?(?:\#\d+)?"
 _TOKENS = r"""
       (?P<WS>\s+)
-    | (?P<IDENT>[A-Za-z0-9_][A-Za-z0-9_']*(?:\^(?:i|-1))?(?:\#\d+)?)
+    | (?P<IDENT>""" + IDENT_PATTERN + r""")
     | (?P<ARROW>->|↦)
     | (?P<EQEQ>==)
     | (?P<PIPE>\|)
@@ -391,13 +403,16 @@ _TRACE_TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, positions: bool = False) -> list[Token]:
-    """The tokens of text; with positions, a dotted position is one POS
-    token (the trace syntax)."""
+def tokenize(
+    text: str, positions: bool = False, start: int = 0, end: int | None = None
+) -> list[Token]:
+    """The tokens of text[start:end], at their offsets in text; with
+    positions, a dotted position is one POS token (the trace syntax)."""
     lines = _Lines(text)
     tokens: list[Token] = []
     append = tokens.append
-    for m in (_TRACE_TOKEN_RE if positions else _TOKEN_RE).finditer(text):
+    pattern = _TRACE_TOKEN_RE if positions else _TOKEN_RE
+    for m in pattern.finditer(text, start, len(text) if end is None else end):
         kind = m.lastgroup
         if kind == "WS":
             continue

@@ -216,7 +216,7 @@ def parse_position(text: str) -> Position:
 
 
 def format_position(p: Position) -> str:
-    return ".".join(str(i) for i in p) if p else "e"
+    return ".".join(map(str, p)) if p else "e"
 
 
 class Subst:
@@ -238,6 +238,10 @@ class Subst:
     @property
     def domain(self) -> frozenset[str]:
         return frozenset(self._map)
+
+    def has_domain(self, names: frozenset[str]) -> bool:
+        """domain == names, without building the domain."""
+        return self._map.keys() == names
 
     def get(self, name: str) -> Term | None:
         return self._map.get(name)
@@ -290,6 +294,9 @@ class Subst:
 
     def __repr__(self) -> str:
         return format_subst(self)
+
+
+EMPTY_SUBST = Subst()
 
 
 def format_subst(s: Subst) -> str:

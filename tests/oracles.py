@@ -668,10 +668,16 @@ def _ref_parse_subst(stream):
     bindings = {}
     if not stream.at("RBRACE"):
         while True:
-            name = stream.expect("IDENT").text
+            tok = stream.expect("IDENT")
+            if tok.text in bindings:
+                raise ParseError(
+                    f"variable {tok.text!r} is bound twice in a recorded substitution",
+                    tok.line,
+                    tok.column,
+                )
             stream.expect("ARROW")
             parser = TermParser(stream, set(), {}, allow_reserved=True)
-            bindings[name] = parser.parse()
+            bindings[tok.text] = parser.parse()
             if stream.at("COMMA"):
                 stream.next()
             else:

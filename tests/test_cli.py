@@ -240,6 +240,16 @@ def test_reserved_names_rejected_for_transforms_only(capsys, tmp_path):
     assert code == 2 and "reserved" in err
 
 
+def test_trace_binding_a_variable_twice_is_a_usage_failure(capsys):
+    trace = "[b3(e, {y -> s(0), y -> 0})]"
+    code, out, err = run(capsys, "backward", ADDMULT, "--term", "0", "--trace", trace)
+    assert code == 2 and not out
+    assert err == (
+        "revrw: parse error: variable 'y' is bound twice in a recorded substitution "
+        "(line 1, column 20)\n"
+    )
+
+
 def test_missing_file_is_usage_failure(capsys):
     code, _, err = run(capsys, "check", "no-such-file.trs")
     assert code == 2

@@ -101,10 +101,16 @@ def assert_same_engine(system: RewriteSystem, term: Term, strategy: str, bounds:
 
 def assert_same_backward(system: RewriteSystem, term: Term, pair: Pair):
     """backward_run as the reference runs it: on the recorded pair, on its
-    trace without the oldest or the newest step, and on the input term (the
-    last two mostly end in TraceMismatch)."""
+    trace without the oldest or the newest step, on the input term (the
+    last two mostly end in TraceMismatch), and on the result with its first
+    argument a variable (NotGround, or TraceMismatch where the position
+    runs into the variable)."""
     trace = pair.trace
-    for probe in (pair, Pair(pair.term, trace[:-1]), Pair(pair.term, trace[1:]), Pair(term, trace)):
+    probes = [pair, Pair(pair.term, trace[:-1]), Pair(pair.term, trace[1:]), Pair(term, trace)]
+    result = pair.term
+    if result.args:
+        probes.append(Pair(App(result.symbol, (Var("z"), *result.args[1:])), trace))
+    for probe in probes:
         got = _outcome(backward_run, system, probe)
         assert got == _outcome(ref_backward_run, system, probe), (term, probe)
 

@@ -7,6 +7,7 @@ import pytest
 from revrw import (
     EmptyTrace,
     Pair,
+    ParseError,
     Subst,
     TraceMismatch,
     TraceTerm,
@@ -392,8 +393,6 @@ def test_round_trip_property_addmult(i, j, name, n, strategy):
 
 
 def test_trace_parser_rejects_malformed_input():
-    from revrw import ParseError
-
     for bad in ("[b1(e]", "[b1(e, {x -> })]", "[b1(e, {}) extra", "b1(e, {})"):
         with pytest.raises(ParseError):
             parse_trace(bad)
@@ -428,12 +427,23 @@ def _parse_outcome(parse, text):
         return ("raise", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
 
 
-HAND_WRITTEN_TRACES = (
+# Text that format_trace would not print: only the token reader reads it.
+RESPACED_TRACES = (
+    "[b1(1 . 2, {}),\n b2( 3.4 , {x -> [a, b]}, [], [b3(2.1.1, {})])]",
+    "[b1(ε, {})]",
+    "[b2(1.ε, {})]",
+    "\t[\n\tb1\n(\t1.2\n,\t{\nx\t->\ns\t(\n0\t)\n}\t,\n[\tb2\n(\te\n,\t{\n}\t)\n]\t)\n]\t",
+)
+
+HAND_WRITTEN_TRACES = RESPACED_TRACES + (
     "[]",
     "[b1(e, {})]",
     "[b1(12.3.10, {x -> s(0)}), b2(1, {y ↦ cons(a,nil)})]",
-    "[b1(1 . 2, {}),\n b2( 3.4 , {x -> [a, b]}, [], [b3(2.1.1, {})])]",
     "[b1(e, {m -> 4, x -> 0}, [b2(e, {})], [b4(e, {y -> 4})])]",
+    "[b1^i(e, {}), tuple#2(1, {_w1 -> tuple#2(s(_w2),b2^-1(b1))}), add^-1(2.1, {})]",
+    "[b1(2.1, {xs -> [a, [b, c], nil], y -> f(g(a,[b]),h(s(s(c))))}, [b2(1, {z -> []})])]",
+    "[b1(e, {x -> f(a,\n  g(b)), y -> c}), b2(1.1, {})]",
+    " [b1(01.2, {})]\n",
 )
 
 
@@ -489,6 +499,79 @@ def test_parse_trace_matches_reference_on_recorded_traces():
         assert got == _parse_outcome(ref_parse_trace, text), text
         if text not in HAND_WRITTEN_TRACES:
             assert format_trace(got[1]) == text
+
+
+def test_printed_traces_are_read_without_the_token_reader():
+    # Bindings spanning lines, list sugar, the mapsto glyph, generated names
+    # and whitespace around the trace are still read by the regex reader.
+    from revrw.reversible import _read_printed
+
+    texts = _recorded_trace_texts()
+    declined = [text for text in texts if _read_printed(text) is None]
+    assert declined == list(RESPACED_TRACES)
+    for text in texts:
+        if text not in RESPACED_TRACES:
+            assert _read_printed(text) == ref_parse_trace(text), text
+
+
+def test_position_index_too_long_for_an_int_is_a_parse_error():
+    # Python refuses to convert a string of more than 4,300 digits.
+    for text in ("[b1(" + "1" * 5000 + ".1, {})]", "[b1(2." + "1" * 5000 + ", {})]"):
+        got = _parse_outcome(parse_trace, text)
+        assert got[:2] == ("raise", ParseError) and got[2].startswith("bad position syntax")
+        assert got == _parse_outcome(ref_parse_trace, text)
+
+
+def test_recorded_substitution_binding_a_variable_twice_is_a_parse_error():
+    text = "[b3(e, {y -> s(0),\n  y -> 0})]"
+    for parse in (parse_trace, ref_parse_trace):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == (
+            "variable 'y' is bound twice in a recorded substitution (line 2, column 3)"
+        )
+
+
+def test_forward_run_builds_no_subst_for_rules_with_an_empty_safety_domain(addmult, monkeypatch):
+    # Neither add rule records a binding: every trace term of add(s^30(0),0)
+    # shares one empty Subst, and no witness builds its sigma.
+    assert not addmult.safety_domains["b1"] and not addmult.safety_domains["b2"]
+    start = addmult.signature["add"](_nat(addmult, 30), _nat(addmult, 0))
+    original = Subst.__init__
+    built = 0
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        original(self, *args)
+
+    monkeypatch.setattr(Subst, "__init__", counting)
+    out = forward_run(addmult, Pair(start))
+    monkeypatch.undo()
+    assert built == 0 and len(out.trace) == 31
+    assert all(tt.recorded is out.trace[0].recorded for tt in out.trace)
+    assert backward_run(addmult, out) == Pair(start)
+
+
+def test_backward_run_replays_without_match_apply_or_union(monkeypatch):
+    # Traces with recorded bindings and condition sub-traces.
+    import revrw.reversible
+    import revrw.terms
+    from revrw import parse_system, to_pcdctrs
+
+    pc, _ = to_pcdctrs(parse_system((CORPUS_DIR / "needvars.trs").read_text()))
+    pairs = [(term, forward_run(pc, Pair(term))) for term in basic_terms(pc, 3, 20)]
+    assert any(tt.recorded and tt.sub_traces for _, out in pairs for tt in out.trace)
+
+    def forbidden(*args):
+        raise AssertionError("backward playback matched or applied a Subst")
+
+    assert not hasattr(revrw.reversible, "match")
+    monkeypatch.setattr(revrw.terms, "match", forbidden)
+    monkeypatch.setattr(Subst, "apply", forbidden)
+    monkeypatch.setattr(Subst, "union", forbidden)
+    for term, out in pairs:
+        assert backward_run(pc, out) == Pair(term)
 
 
 def test_parse_trace_matches_reference_on_mutated_traces():
