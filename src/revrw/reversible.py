@@ -25,7 +25,7 @@ from .errors import (
     UnknownLabel,
     UnsafePair,
 )
-from .programs import ReplayProgram, build, run
+from .programs import build, run
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
 from .systems import IDENT_PATTERN, RewriteSystem, TermParser, TokenStream, tokenize
 from .terms import (
@@ -119,20 +119,51 @@ def _require_safe(system: RewriteSystem, pair: Pair) -> None:
 def witness_trace_term(system: RewriteSystem, witness: StepWitness) -> TraceTerm:
     """The trace term recording one step witness (sub-derivations included):
     its bindings of the rule's safety domain."""
+    if not witness.sub_witnesses:
+        return TraceTerm(witness.rule_label, witness.position, _recorded(system, witness))
+    return derivation_trace(system, (witness,))[0]
+
+
+def _recorded(system: RewriteSystem, witness: StepWitness) -> Subst:
     program = witness.program
     if program is not None and program.rule is system.rule_by_label(witness.rule_label):
-        recorded = program.recorded(witness.slots)
-    else:
-        recorded = witness.sigma.restrict(system.safety_domains[witness.rule_label])
-    subs = tuple(
-        derivation_trace(system, steps) for steps in witness.sub_witnesses
-    )
-    return TraceTerm(witness.rule_label, witness.position, recorded, subs)
+        return program.recorded(witness.slots)
+    return witness.sigma.restrict(system.safety_domains[witness.rule_label])
 
 
 def derivation_trace(system: RewriteSystem, steps: tuple[StepWitness, ...]) -> Trace:
-    """Trace of a recorded derivation, most recent step first."""
-    return tuple(witness_trace_term(system, w) for w in reversed(steps))
+    """Trace of a recorded derivation, most recent step first. The trace
+    terms are built bottom-up: those whose sub-derivations are being
+    recorded wait on a stack, so nesting takes no recursion."""
+    # Open trace terms, innermost last: the trace they go in and the
+    # witnesses left for it, their witness and recorded bindings, their
+    # sub-traces so far and the sub-derivations left.
+    open_terms: list[tuple] = []
+    items: list[TraceTerm] = []
+    todo = reversed(steps)
+    while True:
+        w = next(todo, None)
+        if w is not None:
+            recorded = _recorded(system, w)
+            if not w.sub_witnesses:
+                items.append(TraceTerm(w.rule_label, w.position, recorded))
+                continue
+            derivations = iter(w.sub_witnesses)
+            open_terms.append((items, todo, w, recorded, [], derivations))
+            items, todo = [], reversed(next(derivations))
+            continue
+        trace = tuple(items)
+        if not open_terms:
+            return trace
+        # The innermost open trace term goes on with a sub-trace or ends.
+        subs = open_terms[-1][4]
+        subs.append(trace)
+        sub = next(open_terms[-1][5], None)
+        if sub is not None:
+            items, todo = [], reversed(sub)
+            continue
+        items, todo, w, recorded, _, _ = open_terms.pop()
+        items.append(TraceTerm(w.rule_label, w.position, recorded, tuple(subs)))
 
 
 def forward_step(
@@ -268,57 +299,73 @@ class _Zipper:
 
 
 def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
-    """term with every trace term undone, most recent first."""
+    """term with every trace term undone, most recent first, each by its
+    replay program (see `ReplayProgram`). A condition's sub-trace is played
+    back in a frame pushed on a stack, not by a recursive call. The pair is
+    safe, so every slot the replay program reads as bound is bound to a
+    ground term when it is read."""
     replays = system.replays
-    zipper = _Zipper(term)
-    for tt in trace:
-        program = replays.get(tt.label)
-        if program is None:
-            raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
-        if not zipper.move(tt.position):
+    # The playbacks waiting for a sub-trace's value, innermost last: the
+    # trace and the index of the trace term after the pending one, the
+    # pending trace term, its replay program, slots and condition index,
+    # and the zipper.
+    frames: list[tuple] = []
+    zipper, n = _Zipper(term), 0
+    while True:
+        if n < len(trace):
+            tt = trace[n]
+            n += 1
+            program = replays.get(tt.label)
+            if program is None:
+                raise UnknownLabel(f"trace references unknown rule label {tt.label!r}")
+            if not zipper.move(tt.position):
+                raise TraceMismatch(
+                    f"{tt.label}: position {format_position(tt.position)} not in "
+                    f"{format_term(zipper.close())}"
+                )
+            focus = zipper.focus
+            if focus.__class__ is not App or not focus.ground:
+                raise NotGround(f"match subject must be ground: {format_term(focus)}")
+            slots = list(program.init)
+            if not run(program.rhs, [(focus,)], slots, False):
+                raise TraceMismatch(
+                    f"{tt.label}: right-hand side {format_term(program.rule.rhs)} does not "
+                    f"match {format_term(focus)}"
+                )
+            recorded = tt.recorded
+            for name, k in program.safe:
+                slots[k] = recorded.get(name)
+            j = 0
+        else:
+            value = zipper.close()
+            if not frames:
+                return value
+            trace, n, tt, program, slots, j, zipper = frames.pop()
+            i, _, lhs = program.conditions[j]
+            if not run(lhs, [(value,)], slots, False):
+                raise TraceMismatch(
+                    f"{tt.label}: condition {i + 1} left-hand side does not match the "
+                    f"replayed value {format_term(value)}"
+                )
+            j += 1
+        # The pending trace term replays its next condition, or is undone.
+        if j < len(program.conditions):
+            i, rhs, _ = program.conditions[j]
+            start = build(rhs, slots)
+            if start.__class__ is not App or not start.ground:
+                raise TraceMismatch(
+                    f"{tt.label}: condition {i + 1} right-hand side is not ground "
+                    "during backward playback"
+                )
+            frames.append((trace, n, tt, program, slots, j, zipper))
+            zipper, trace, n = _Zipper(start), tt.sub_traces[i], 0
+            continue
+        rebuilt = build(program.lhs, slots)
+        if not rebuilt.ground:
             raise TraceMismatch(
-                f"{tt.label}: position {format_position(tt.position)} not in "
-                f"{format_term(zipper.close())}"
+                f"{tt.label}: left-hand side variables remain unbound after playback"
             )
-        zipper.replace(_undo(system, zipper.focus, tt, program))
-    return zipper.close()
-
-
-def _undo(system: RewriteSystem, focus: Term, tt: TraceTerm, program: ReplayProgram) -> Term:
-    """The instance of the rule's lhs that the step recorded by tt rewrote
-    into focus. The pair is safe, so tt records exactly the safety domain,
-    and every slot the replay program reads as bound is bound to a ground
-    term when it is read."""
-    if focus.__class__ is not App or not focus.ground:
-        raise NotGround(f"match subject must be ground: {format_term(focus)}")
-    slots = list(program.init)
-    if not run(program.rhs, [(focus,)], slots, False):
-        raise TraceMismatch(
-            f"{tt.label}: right-hand side {format_term(program.rule.rhs)} does not match "
-            f"{format_term(focus)}"
-        )
-    recorded = tt.recorded
-    for name, k in program.safe:
-        slots[k] = recorded.get(name)
-    for i, rhs, lhs in program.conditions:
-        start = build(rhs, slots)
-        if start.__class__ is not App or not start.ground:
-            raise TraceMismatch(
-                f"{tt.label}: condition {i + 1} right-hand side is not ground "
-                "during backward playback"
-            )
-        value = _backward_to_empty(system, start, tt.sub_traces[i])
-        if not run(lhs, [(value,)], slots, False):
-            raise TraceMismatch(
-                f"{tt.label}: condition {i + 1} left-hand side does not match the "
-                f"replayed value {format_term(value)}"
-            )
-    rebuilt = build(program.lhs, slots)
-    if not rebuilt.ground:
-        raise TraceMismatch(
-            f"{tt.label}: left-hand side variables remain unbound after playback"
-        )
-    return rebuilt
+        zipper.replace(rebuilt)
 
 
 def backward_run(system: RewriteSystem, pair: Pair) -> Pair:

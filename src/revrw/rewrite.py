@@ -39,7 +39,10 @@ class Bounds:
     """max_steps caps the rewrite steps that one engine call performs:
     applied steps plus the steps of condition evaluations, those of failed
     rule attempts included. Each rule attempt is made, and counted, once.
-    max_depth caps the nesting of condition evaluations."""
+    max_depth caps the nesting of condition evaluations: it counts the
+    levels on the engine's own stack (see `_Engine`), the call's own
+    included. Conditions take no Python recursion, so their nesting never
+    meets Python's recursion limit."""
 
     max_steps: int = 10000
     max_depth: int = 100
@@ -50,23 +53,6 @@ class Bounds:
 
 
 DEFAULT_BOUNDS = Bounds()
-
-
-class _Budget:
-    __slots__ = ("steps_left", "max_depth")
-
-    def __init__(self, bounds: Bounds):
-        self.steps_left = bounds.max_steps
-        self.max_depth = bounds.max_depth
-
-    def spend(self) -> None:
-        if self.steps_left <= 0:
-            raise BoundExceeded("step bound exceeded")
-        self.steps_left -= 1
-
-    def check_depth(self, depth: int) -> None:
-        if depth > self.max_depth:
-            raise BoundExceeded("condition evaluation depth bound exceeded")
 
 
 class StepWitness:
@@ -165,98 +151,183 @@ def _check_ground(term: Term) -> None:
         raise NotGround(f"cannot rewrite non-ground term {format_term(term)}")
 
 
+# What the bottom level of an engine run does; every level above it
+# normalizes a condition's left-hand side.
+_NORMALIZE, _FIRST, _ALL, _SOLVE = range(4)
+
+
 class _Engine:
-    """What one top-level call shares with its nested condition evaluations:
-    the system, the strategy, and whether steps are recorded as witnesses.
+    """One top-level call: the system, the strategy, and whether steps are
+    recorded as witnesses.
 
     Rules run as the slot programs of `RewriteSystem.programs`: an attempt
     fills a list of slots, one per rule variable, and builds no dict, no
     Subst and no term but its condition lhs's. A recorded witness keeps the
-    program and its slots."""
+    program and its slots.
 
-    __slots__ = ("system", "strategy", "record", "constructor")
+    `run` is one loop over an explicit stack of levels (the recursive
+    evaluator's continuation, defunctionalized: Ager, Biernacki, Danvy and
+    Midtgaard, PPDP 2003). A level is one normalization in progress: its
+    cursor, its recorded steps, and the pending rule attempt at the node
+    where its search stopped (the node, its rule programs, the index of the
+    program tried, its slots, the index of the condition to solve next and
+    the derivations of those before it). Solving a condition pushes a level
+    for the instantiated condition lhs; when that level reaches a normal
+    form it pops, and its parent matches the condition rhs against the
+    value. A failed match moves the parent on to its next rule program; once
+    the last condition holds, the parent plants the rhs and spends the
+    step."""
+
+    __slots__ = ("system", "record", "constructor", "top", "any_node")
 
     def __init__(self, system: RewriteSystem, strategy: str, record: bool = True):
         self.system = system
-        self.strategy = strategy
         self.record = record
         # The constructor strategy binds variables to constructor terms only.
         self.constructor = strategy == "constructor"
+        self.top = strategy == "top"
+        self.any_node = strategy == "any"
 
-    def attempt(
-        self, node: App, budget: _Budget, depth: int, first: bool
-    ) -> list[tuple[RuleProgram, list[Term], tuple[tuple[StepWitness, ...], ...]]]:
-        """The rules (textual order) that rewrite `node` at its root, with
-        their filled slots and condition derivations; at most one if first."""
-        system = self.system
-        if not node.ground and system.rules:
-            # As matching any rule would, even one with another root symbol.
-            raise NotGround(f"match subject must be ground: {format_term(node)}")
-        programs = system.programs.get(node.symbol.name)
-        if not programs or programs[0].arity != node.symbol.arity:
-            return []
-        constructor = self.constructor
-        found = []
-        for program in programs:
-            slots = list(program.init)
-            if not run(program.lhs, [node.args], slots, constructor):
-                continue
-            derivations = self.solve(program, slots, budget, depth)
-            if derivations is None:
-                continue
-            found.append((program, slots, derivations))
-            if first:
-                break
-        return found
+    def cursor(self, term: Term | None) -> "_Cursor":
+        """A cursor over term (None: over nothing, so it has no candidate)."""
+        return _Cursor(term, self.top, self.any_node)
 
-    def solve(
-        self, program: RuleProgram, slots: list[Term], budget: _Budget, depth: int
-    ) -> tuple[tuple[StepWitness, ...], ...] | None:
-        """Solve the conditions left to right, binding their slots; the
-        derivation of each, or None if one fails."""
-        budget.check_depth(depth)
-        derivations: list[tuple[StepWitness, ...]] = []
-        for lhs, ground, rhs in program.conditions:
-            term = build(lhs, slots)
-            if not ground:
-                raise PreconditionViolated(
-                    f"rule {program.rule.label}: condition lhs {format_term(term)} is not ground "
-                    "under the accumulated substitution (system is not deterministic)"
-                )
-            value, steps = self.normalize(term, budget, depth + 1)
-            if not is_ground(value):
-                raise NotGround(f"match subject must be ground: {format_term(value)}")
-            if not run(rhs, [(value,)], slots, self.constructor):
-                return None
-            derivations.append(tuple(steps))
-        return tuple(derivations)
+    def run(
+        self,
+        cursor: "_Cursor",
+        bounds: Bounds,
+        mode: int,
+        program: RuleProgram | None = None,
+        slots: list[Term] | None = None,
+    ):
+        """Run the machine from a bottom level searching with `cursor`,
+        under a budget of `bounds`. By mode, it returns:
 
-    def normalize(
-        self, term: Term, budget: _Budget, depth: int
-    ) -> tuple[Term, list[StepWitness]]:
-        """The normal form of term and, if the engine records them, the
-        witnesses of its steps."""
-        cursor = _Cursor(self, term, depth)
+        - _NORMALIZE: the normal form and the recorded witnesses;
+        - _FIRST: the witness of the first step, planted so that the next
+          run on the cursor resumes after it, or None at a normal form;
+        - _ALL: every witness from the cursor on, nothing planted, with
+          innermost eligibility as in `step`;
+        - _SOLVE: the derivations of `program`'s conditions, solved from
+          `slots` on, which they bind, or None if one fails."""
+        record, constructor = self.record, self.constructor
+        top, any_node = self.top, self.any_node
+        table = self.system.programs
+        check_ground = bool(self.system.rules)
+        steps_left, max_depth = bounds.max_steps, bounds.max_depth
+        # The levels below the current one, bottom first, each waiting for
+        # the normal form of its pending condition's lhs: (cursor, steps,
+        # node, programs, k, slots, c, derivations).
+        parents: list[tuple] = []
+        # The current level. program is None while no lhs match is pending:
+        # then programs[k:] are the rule programs left to try at node.
         steps: list[StepWitness] = []
+        node = None
+        programs: tuple[RuleProgram, ...] = ()
+        k = c = 0
+        derivations: list[tuple[StepWitness, ...]] = []
+        if program is not None:
+            programs = (program,)
+        found: list[StepWitness] = []
         while True:
-            found = cursor.search(budget, True)
-            if not found:
-                return cursor.term, steps
-            budget.spend()
-            if self.record:
-                steps.append(found[0])
+            if program is None:
+                if k < len(programs):
+                    program = programs[k]
+                    slots = list(program.init)
+                    if not run(program.lhs, [node.args], slots, constructor):
+                        program = None
+                        k += 1
+                        continue
+                    if len(parents) >= max_depth:
+                        raise BoundExceeded("condition evaluation depth bound exceeded")
+                    c = 0
+                    derivations = []
+                else:
+                    node = cursor.next_candidate()
+                    if node is not None:
+                        if check_ground and not node.ground:
+                            # As matching any rule would, even one with
+                            # another root symbol.
+                            raise NotGround(f"match subject must be ground: {format_term(node)}")
+                        programs = table.get(node.symbol.name, ())
+                        if programs and programs[0].arity != node.symbol.arity:
+                            programs = ()
+                        k = 0
+                        continue
+                    # The level has reached a normal form.
+                    if not parents:
+                        if mode == _NORMALIZE:
+                            return cursor.term, steps
+                        return found if mode == _ALL else None
+                    value, sub = cursor.term, steps
+                    cursor, steps, node, programs, k, slots, c, derivations = parents.pop()
+                    program = programs[k]
+                    if value.__class__ is not App or not value.ground:
+                        raise NotGround(f"match subject must be ground: {format_term(value)}")
+                    if not run(program.conditions[c][2], [(value,)], slots, constructor):
+                        program = None
+                        k += 1
+                        continue
+                    if record:
+                        derivations.append(tuple(sub))
+                    c += 1
+            # The lhs of program matched and its conditions before c hold.
+            conditions = program.conditions
+            if c < len(conditions):
+                lhs, ground, _ = conditions[c]
+                term = build(lhs, slots)
+                if not ground:
+                    raise PreconditionViolated(
+                        f"rule {program.rule.label}: condition lhs {format_term(term)} is not "
+                        "ground under the accumulated substitution (system is not deterministic)"
+                    )
+                parents.append((cursor, steps, node, programs, k, slots, c, derivations))
+                cursor = _Cursor(term, top, any_node)
+                steps = []
+                programs, k, program = (), 0, None
+                continue
+            # The rule applies at node.
+            if parents or mode == _NORMALIZE:
+                rhs = build(program.rhs, slots)
+                if record:
+                    steps.append(
+                        StepWitness._in_context(
+                            cursor.link(), program, slots, rhs, tuple(derivations)
+                        )
+                    )
+                cursor.plant(rhs, program.rule.rhs)
+                if steps_left <= 0:
+                    raise BoundExceeded("step bound exceeded")
+                steps_left -= 1
+                programs, k, program = (), 0, None
+                continue
+            if mode == _SOLVE:
+                return derivations
+            rhs = build(program.rhs, slots)
+            witness = StepWitness._in_context(
+                cursor.link(), program, slots, rhs, tuple(derivations)
+            )
+            if mode == _FIRST:
+                cursor.plant(rhs, program.rule.rhs)
+                return witness
+            found.append(witness)
+            cursor.mark()
+            program = None
+            k += 1
 
 
 class _Cursor:
     """A leftmost-innermost (post-order) search over one term that resumes
     where its last step happened, with the term kept open between steps.
+    `next_candidate` walks on to the next node at which a rule may apply;
+    `plant` puts a step's rhs in its place.
 
     The zipper is a stack of frames [node, args, pattern, i, below, link],
     one per ancestor of the subterm being searched, root first: node as it
     was entered, its arguments as they are now, and the rule rhs it
     instantiates (None: search all of it); i arguments have been entered,
     below says whether a witness was found under node, and link caches the
-    context of the hole at argument i (see `_link`). A step puts sigma(rhs)
+    context of the hole at argument i (see `link`). A step puts sigma(rhs)
     in place of the redex in its parent's args and nothing else: a node
     whose args changed is rebuilt once, when the search leaves it upward,
     and `term` is the whole term only after a search has run to its end.
@@ -268,38 +339,50 @@ class _Cursor:
     nodes of sigma(rhs) that come from rhs itself (pattern tracks them),
     then the nodes after p. A subterm in which no defined symbol occurs (its
     `constructor` flag is set) holds no redex, so it is never entered.
+
+    Under the `top` strategy the only candidate is the root, once per step.
     """
 
-    __slots__ = ("engine", "depth", "term", "stack", "node", "pattern")
+    __slots__ = ("term", "stack", "node", "pattern", "top", "any_node")
 
-    def __init__(self, engine: _Engine, term: Term, depth: int):
-        self.engine = engine
-        self.depth = depth
+    def __init__(self, term: Term | None, top: bool, any_node: bool):
         self.term = term
         self.stack: list[list] = []
         # The subterm to enter next (None: resume at the top frame) and the
         # rule rhs it instantiates (None: search all of it).
         self.node: Term | None = term
         self.pattern: Term | None = None
+        self.top = top
+        self.any_node = any_node
 
-    def search(self, budget: _Budget, first: bool) -> list[StepWitness]:
-        """The witnesses from the current point on: the first one, planted
-        so that the next search resumes after it (None in place of the
-        witness if the engine records none), or all of them (term
-        unchanged) with innermost eligibility as in `step`."""
-        engine = self.engine
-        if engine.strategy == "top":
-            return self._search_root(budget, first)
-        depth = self.depth
-        any_node = engine.strategy == "any"
+    def next_candidate(self) -> App | None:
+        """The next node, closed, whose root is defined and at which a step
+        is eligible (innermost: no witness was found below it), or None at
+        the end of the term. Its frame is popped: the top frame is now its
+        parent's."""
+        node = self.node
+        self.node = None
+        if self.top:
+            if node is not None and node.__class__ is App and node.symbol.kind == DEFINED:
+                return node
+            return None
+        any_node = self.any_node
         stack = self.stack
-        node, pattern = self.node, self.pattern
-        out: list[StepWitness] = []
+        pattern = self.pattern
         while stack or node is not None:
             if node is not None:
                 # A variable binding is irreducible, and so is a subterm
                 # without a defined symbol: neither is entered.
                 if (pattern is None or pattern.__class__ is not Var) and not node.constructor:
+                    if node.ground:
+                        for a in node.args:
+                            if not a.constructor:
+                                break
+                        else:
+                            # No argument is entered: the node is closed,
+                            # nothing below it is a witness, and its root
+                            # is defined.
+                            return node
                     stack.append([node, node.args, pattern, 0, False, None])
                 node = None
                 continue
@@ -320,29 +403,25 @@ class _Cursor:
                 else:
                     self.term = t
             below = frame[4]
-            if (any_node or not below) and t.symbol.kind == DEFINED:
-                found = engine.attempt(t, budget, depth, first)
-                if found:
-                    link = self._link() if stack and engine.record else None
-                    if first:
-                        program, slots, derivations = found[0]
-                        rhs = build(program.rhs, slots)
-                        if stack:
-                            self._put(rhs)
-                        else:
-                            self.term = rhs
-                        self.node, self.pattern = rhs, program.rule.rhs
-                        if not engine.record:
-                            return [None]
-                        return [StepWitness._in_context(link, program, slots, rhs, derivations)]
-                    for program, slots, derivations in found:
-                        rhs = build(program.rhs, slots)
-                        out.append(StepWitness._in_context(link, program, slots, rhs, derivations))
-                    below = True
             if below and stack:
                 stack[-1][4] = True
-        self.node = None
-        return out
+            if (any_node or not below) and t.symbol.kind == DEFINED:
+                return t
+        return None
+
+    def plant(self, rhs: Term, pattern: Term) -> None:
+        """Put rhs, an instance of the rule rhs pattern, in place of the
+        last candidate; the next search enters it first."""
+        if self.stack:
+            self._put(rhs)
+        else:
+            self.term = rhs
+        self.node, self.pattern = rhs, pattern
+
+    def mark(self) -> None:
+        """Record that a witness was found at the last candidate."""
+        if self.stack:
+            self.stack[-1][4] = True
 
     def _put(self, t: Term) -> None:
         """Put t in the hole under the top frame. The frame's cached link
@@ -351,12 +430,13 @@ class _Cursor:
         args, i = frame[1], frame[3]
         frame[1] = args[: i - 1] + (t,) + args[i:]
 
-    def _link(self):
-        """The context of the hole under the top frame: a chain of links
-        (parent link, symbol, args, i, position of the hole), root last.
-        A frame's cached link is good while the frame's i is the link's,
-        and i changes only while the frame is the top one; so only the
-        frames entered or moved on since the last call get a new link."""
+    def link(self):
+        """The context of the last candidate, the hole under the top frame:
+        a chain of links (parent link, symbol, args, i, position of the
+        hole), root last; None at the root. A frame's cached link is good
+        while the frame's i is the link's, and i changes only while the
+        frame is the top one; so only the frames entered or moved on since
+        the last call get a new link."""
         stack = self.stack
         k = len(stack)
         while k:
@@ -371,21 +451,6 @@ class _Cursor:
             link = frame[5] = (link, frame[0].symbol, frame[1], i, position)
         return link
 
-    def _search_root(self, budget: _Budget, first: bool) -> list[StepWitness]:
-        term = self.term
-        if not (isinstance(term, App) and term.symbol.kind == DEFINED):
-            return []
-        engine = self.engine
-        out = []
-        for program, slots, derivations in engine.attempt(term, budget, self.depth, first):
-            rhs = build(program.rhs, slots)
-            if first:
-                self.term = rhs
-                if not engine.record:
-                    return [None]
-            out.append(StepWitness._in_context(None, program, slots, rhs, derivations))
-        return out
-
 
 def step(
     system: RewriteSystem,
@@ -398,7 +463,8 @@ def step(
     normal form under the strategy."""
     _check_strategy(strategy)
     _check_ground(term)
-    return _Cursor(_Engine(system, strategy), term, 1).search(_Budget(bounds), False)
+    engine = _Engine(system, strategy)
+    return engine.run(engine.cursor(term), bounds, _ALL)
 
 
 def first_step(
@@ -409,8 +475,8 @@ def first_step(
 ) -> StepWitness | None:
     _check_strategy(strategy)
     _check_ground(term)
-    found = _Cursor(_Engine(system, strategy), term, 1).search(_Budget(bounds), True)
-    return found[0] if found else None
+    engine = _Engine(system, strategy)
+    return engine.run(engine.cursor(term), bounds, _FIRST)
 
 
 def derivation(
@@ -426,16 +492,17 @@ def derivation(
     term after its step."""
     _check_strategy(strategy)
     _check_ground(term)
-    cursor = _Cursor(_Engine(system, strategy), term, 1)
+    engine = _Engine(system, strategy)
+    cursor = engine.cursor(term)
     last = None
     while True:
-        found = cursor.search(_Budget(bounds), True)
-        if not found:
+        found = engine.run(cursor, bounds, _FIRST)
+        if found is None:
             if last is not None and last._link is not None:
                 # The search that found nothing closed the term.
                 last._result, last._link = cursor.term, None
             return
-        last = found[0]
+        last = found
         yield last
         # The term was ground before this step, so it is now iff what the
         # step planted is: _result holds that, or the whole term once
@@ -455,7 +522,7 @@ def normalize(
     _check_strategy(strategy)
     _check_ground(term)
     engine = _Engine(system, strategy, record=False)
-    return engine.normalize(term, _Budget(bounds), 1)[0]
+    return engine.run(engine.cursor(term), bounds, _NORMALIZE)[0]
 
 
 def normalize_traced(
@@ -466,7 +533,8 @@ def normalize_traced(
 ) -> tuple[Term, list[StepWitness]]:
     _check_strategy(strategy)
     _check_ground(term)
-    return _Engine(system, strategy).normalize(term, _Budget(bounds), 1)
+    engine = _Engine(system, strategy)
+    return engine.run(engine.cursor(term), bounds, _NORMALIZE)
 
 
 def solve_conditions(
@@ -483,5 +551,6 @@ def solve_conditions(
     _check_strategy(strategy)
     program = RuleProgram(rule, sigma0)
     slots = list(program.init)
-    solved = _Engine(system, strategy, record=False).solve(program, slots, _Budget(bounds), 1)
+    engine = _Engine(system, strategy, record=False)
+    solved = engine.run(engine.cursor(None), bounds, _SOLVE, program, slots)
     return None if solved is None else program.subst(slots)

@@ -258,9 +258,10 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
             raise RevrwError("pcDCTRS pipeline did not terminate")
 
     current = RewriteSystem(rules) if stages else system
-    report = validate(current, "pcdctrs")
-    if not report.ok:
-        raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
+    # Validated once: is_pcdctrs is cached on the system, so injectivize
+    # and view_update read it without validating again.
+    if not current.is_pcdctrs:
+        raise RevrwError(f"pipeline output is not a pcDCTRS:\n{validate(current, 'pcdctrs')}")
     return current, PipelineReport(tuple(stages))
 
 

@@ -344,3 +344,33 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     assert builds == 1
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 0]
+
+
+def _pc_addmult(capsys, tmp_path):
+    path = tmp_path / "pc.trs"
+    code, _, _ = run(capsys, "flatten", ADDMULT, "--output", path)
+    assert code == 0
+    return path
+
+
+def test_rewrite_of_deep_condition_nesting_hits_the_bound_without_traceback(capsys, tmp_path):
+    # In the pcDCTRS, add(s^5000(0),0) nests its conditions 5000 levels deep:
+    # under default bounds that is the depth bound, not a RecursionError.
+    pc = _pc_addmult(capsys, tmp_path)
+    nat = "s(" * 5000 + "0" + ")" * 5000
+    code, out, err = run(capsys, "rewrite", pc, "--term", f"add({nat},0)")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == "revrw: BoundExceeded: condition evaluation depth bound exceeded\n"
+    code, out, _ = run(capsys, "rewrite", pc, "--term", f"add({nat},0)", "--max-depth", "5001")
+    assert code == 0 and out == nat + "\n"
+
+
+def test_backward_of_a_deeply_nested_hand_written_trace(capsys, tmp_path):
+    depth = 600
+    pc = _pc_addmult(capsys, tmp_path)
+    path = tmp_path / "trace.txt"
+    path.write_text("[b2(e, {}, " * depth + "[b1(e, {})]" + ")]" * depth, encoding="utf-8")
+    nat = "s(" * depth + "0" + ")" * depth
+    code, out, err = run(capsys, "backward", pc, "--term", nat, "--trace-file", path)
+    assert code == 0 and "Traceback" not in err
+    assert out == f"add({nat},0)\n"

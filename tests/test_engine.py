@@ -519,3 +519,102 @@ def test_view_update_keeps_plain_and_improved_apart(monkeypatch):
     # Another system object, even an equal one, is another origin.
     view_update(pc, cases[0], old_view, improved_origin=load("zip.trs"))
     assert calls["injectivize_improved"] == 2
+
+
+# --- conditions run as levels on the engine's own stack -----------------------
+#
+# In the pcDCTRS of addmult, add(s^k(0),0) nests its conditions k levels deep
+# (add(s(x),y) -> s(w) | add(x,y) == w): the call's own level and k condition
+# levels, k + 1 in all. None of these tests raises the recursion limit.
+
+DEEP = 5000
+DEEP_BOUNDS = Bounds(max_steps=10 * DEEP, max_depth=DEEP + 1)
+
+
+def _pc_addmult() -> RewriteSystem:
+    return to_pcdctrs(load("addmult.trs"))[0]
+
+
+def _pc_add(pc: RewriteSystem, n: int) -> Term:
+    return App(pc.signature["add"], (_nat(pc, n), _nat(pc, 0)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_condition_levels_match_reference_around_max_depth(k):
+    # max_depth k + 1 is just enough; k and k - 1 end in the depth bound,
+    # with the reference's text.
+    pc = _pc_addmult()
+    term = _pc_add(pc, k)
+    for max_depth in (k - 1, k, k + 1):
+        if max_depth < 1:
+            continue
+        bounds = Bounds(max_depth=max_depth)
+        for strategy in STRATEGIES:
+            assert_same_engine(pc, term, strategy, bounds)
+            got = _outcome(normalize, pc, term, strategy, bounds)
+            want = _outcome(ref_normalize_traced, pc, term, strategy, bounds)
+            if want[0] == "ok":
+                want = ("ok", want[1][0])
+            assert got == want, (k, max_depth, strategy)
+        outcome = _outcome(normalize, pc, term, "constructor", bounds)
+        if max_depth > k:
+            assert outcome == ("ok", _nat(pc, k))
+        else:
+            assert outcome == ("raise", BoundExceeded, "condition evaluation depth bound exceeded")
+
+
+def test_condition_nesting_past_the_recursion_limit():
+    pc = _pc_addmult()
+    term, value = _pc_add(pc, DEEP), _nat(pc, DEEP)
+    assert normalize(pc, term, "constructor", DEEP_BOUNDS) == value
+    result, steps = normalize_traced(pc, term, "constructor", DEEP_BOUNDS)
+    assert result == value and len(steps) == 1
+    nesting = 0
+    witness = steps[0]
+    while witness.sub_witnesses:
+        ((witness,),) = witness.sub_witnesses
+        nesting += 1
+    assert nesting == DEEP and witness.rule_label == "b1"
+    # One level fewer than the nesting needs is a bound, not a RecursionError.
+    with pytest.raises(BoundExceeded, match="^condition evaluation depth bound exceeded$"):
+        normalize(pc, term, "constructor", Bounds(max_steps=10 * DEEP, max_depth=DEEP))
+
+
+PRICES = ("0", "s(0)", "s(s(0))", "s(s(s(0)))", "s(s(s(s(0))))")
+
+
+def _records(pc: RewriteSystem, n: int, bump: bool = False) -> Term:
+    """A list of n records, books and dvds, each book's price one higher if
+    bump; built from the last record on, without recursion."""
+    sig = pc.signature
+    book, dvd = App(sig["book"]), App(sig["dvd"])
+    prices = [parse_term(p, pc) for p in PRICES]
+    out = App(sig["nil"])
+    for i in reversed(range(n)):
+        kind = dvd if i % 3 == 2 else book
+        price = prices[i % 4 + (1 if bump and kind is book else 0)]
+        out = App(sig["cons"], (App(sig["r"], (kind, price)), out))
+    return out
+
+
+def _prices(pc: RewriteSystem, n: int, bump: bool = False) -> Term:
+    """The view of `_records(pc, n)`: the books' prices, in order."""
+    sig = pc.signature
+    prices = [parse_term(p, pc) for p in PRICES]
+    out = App(sig["nil"])
+    for i in reversed(range(n)):
+        if i % 3 != 2:
+            out = App(sig["cons"], (prices[i % 4 + (1 if bump else 0)], out))
+    return out
+
+
+def test_view_get_and_put_past_the_recursion_limit():
+    n = 10_000
+    pc = to_pcdctrs(load("view.trs"))[0]
+    bounds = Bounds(max_steps=20 * n, max_depth=n + 10)
+    book = App(pc.signature["book"])
+    source = _records(pc, n)
+    view = normalize(pc, App(pc.signature["view"], (book, source)), "constructor", bounds)
+    assert view == _prices(pc, n)
+    updated = view_update(pc, (book, source), _prices(pc, n, bump=True), bounds)
+    assert updated == (book, _records(pc, n, bump=True))

@@ -587,3 +587,46 @@ def test_parse_trace_matches_reference_on_mutated_traces():
     for kind in ("ok", "bad position syntax", "position indices are 1-based", "expected RPAREN",
                  "unexpected character", "unexpected end of input", "trailing input"):
         assert any(o.startswith(kind) for o in outcomes), kind
+
+
+# --- traces nested past the recursion limit -----------------------------------
+#
+# In the pcDCTRS of addmult, add(s^n(0),0) is one step whose trace term nests
+# n sub-traces: recording, printing, reading and replaying it take no
+# recursion per level.
+
+
+def test_forward_and_backward_run_past_the_recursion_limit():
+    from revrw import Bounds
+    from revrw.terms import EMPTY_SUBST
+
+    depth = 5000
+    pc = _addmult_pc()
+    start = Pair(pc.signature["add"](_nat(pc, depth), _nat(pc, 0)))
+    bounds = Bounds(max_steps=10 * depth, max_depth=depth + 1)
+    out = forward_run(pc, start, "constructor", bounds=bounds)
+    assert out.term == _nat(pc, depth) and len(out.trace) == 1
+    tt, labels = out.trace[0], []
+    while True:
+        assert tt.recorded is EMPTY_SUBST and tt.position == ()
+        labels.append(tt.label)
+        if not tt.sub_traces:
+            break
+        ((tt,),) = tt.sub_traces
+    assert labels == ["b2"] * depth + ["b1"]
+    assert is_safe(pc, out.trace).ok
+    text = format_trace(out.trace)
+    assert text == "[b2(e, {}, " * depth + "[b1(e, {})]" + ")]" * depth
+    trace = parse_trace(text)
+    assert backward_run(pc, Pair(out.term, trace)) == start
+
+
+def test_backward_run_of_a_hand_written_trace_past_the_recursion_limit():
+    depth = 1200
+    pc = _addmult_pc()
+    text = "[b2(e, {}, " * depth + "[b1(e, {})]" + ")]" * depth
+    result = backward_run(pc, Pair(_nat(pc, depth), parse_trace(text)))
+    assert result == Pair(pc.signature["add"](_nat(pc, depth), _nat(pc, 0)))
+    # One s too few: the innermost b2 meets 0, and says so.
+    with pytest.raises(TraceMismatch, match=r"^b2: right-hand side s\(_w1\) does not match 0$"):
+        backward_run(pc, Pair(_nat(pc, depth - 1), parse_trace(text)))

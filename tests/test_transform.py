@@ -38,7 +38,7 @@ from revrw import transform
 from revrw.systems import RewriteSystem
 from revrw.terms import Var
 
-from .conftest import CORPUS_DIR
+from .conftest import CORPUS_DIR, load
 from .oracles import all_normal_forms, basic_terms, ref_to_pcdctrs, systems_isomorphic
 
 
@@ -558,3 +558,24 @@ def test_to_pcdctrs_validates_on_every_corpus_input(corpus):
                 allow_reserved=True,
             )
             assert reparsed == stage.output_system
+
+
+def test_compile_chain_validates_the_pcdctrs_once(monkeypatch):
+    # to_pcdctrs validates its output; injectivize and invert read the
+    # cached result instead of validating the same system again.
+    import revrw.systems
+
+    original = revrw.systems.validate
+    calls = []
+
+    def counting(system, property_name):
+        calls.append(property_name)
+        return original(system, property_name)
+
+    monkeypatch.setattr(revrw.systems, "validate", counting)
+    monkeypatch.setattr(transform, "validate", counting)
+    for name in ("addmult.trs", "view.trs", "zip.trs"):
+        calls.clear()
+        pc, _ = to_pcdctrs(load(name))
+        invert(injectivize(pc))
+        assert calls.count("pcdctrs") == 1, name
