@@ -114,21 +114,58 @@ class StepWitness:
             self._link = None
         return self._result
 
-    def _key(self) -> tuple:
-        return (self.position, self.rule_label, self.sigma, self.result, self.sub_witnesses)
+    def _flat(self) -> list[tuple]:
+        """The witness and its sub-witnesses in pre-order, each as its
+        position, rule label, sigma, result and the lengths of its
+        sub-derivations: two witnesses are equal iff these lists are. Built
+        on a stack, so condition nesting takes no recursion."""
+        out = []
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            out.append((w.position, w.rule_label, w.sigma, w.result, tuple(map(len, w.sub_witnesses))))
+            for steps in reversed(w.sub_witnesses):
+                stack.extend(reversed(steps))
+        return out
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, StepWitness) and self._key() == other._key()
+        return isinstance(other, StepWitness) and (self is other or self._flat() == other._flat())
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(tuple(self._flat()))
 
     def __repr__(self) -> str:
-        return (
-            f"StepWitness(position={self.position!r}, rule_label={self.rule_label!r}, "
-            f"sigma={self.sigma!r}, result={self.result!r}, "
-            f"sub_witnesses={self.sub_witnesses!r})"
-        )
+        # Text and witnesses still to print, top first: sub-witnesses go on
+        # the stack, so condition nesting takes no recursion.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            w = stack.pop()
+            if w.__class__ is str:
+                out.append(w)
+                continue
+            out.append(
+                f"StepWitness(position={w.position!r}, rule_label={w.rule_label!r}, "
+                f"sigma={w.sigma!r}, result={w.result!r}, sub_witnesses="
+            )
+            stack.append(")")
+            pieces = _tuple_pieces(w.sub_witnesses, lambda steps: _tuple_pieces(steps, lambda x: [x]))
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
+
+def _tuple_pieces(items: tuple, pieces) -> list:
+    """repr(items) in pieces: its punctuation, and each element's pieces as
+    `pieces` gives them."""
+    out = ["("]
+    for k, x in enumerate(items):
+        if k:
+            out.append(", ")
+        out += pieces(x)
+    if len(items) == 1:
+        out.append(",")
+    out.append(")")
+    return out
 
 
 def _plug(link, sub: Term) -> Term:

@@ -618,3 +618,21 @@ def test_view_get_and_put_past_the_recursion_limit():
     assert view == _prices(pc, n)
     updated = view_update(pc, (book, source), _prices(pc, n, bump=True), bounds)
     assert updated == (book, _records(pc, n, bump=True))
+
+
+def test_witnesses_nested_past_the_recursion_limit_compare_hash_and_print():
+    # Recursive equality, hashing and repr each met the recursion limit
+    # here; every level's result is a term of its own, so the cost grows
+    # with the square of the depth.
+    depth = 600
+    pc = _pc_addmult()
+    bounds = Bounds(max_steps=10 * depth, max_depth=depth + 1)
+    _, a = normalize_traced(pc, _pc_add(pc, depth), "constructor", bounds)
+    _, b = normalize_traced(pc, _pc_add(pc, depth), "constructor", bounds)
+    assert a[0] is not b[0] and a == b and hash(a[0]) == hash(b[0])
+    _, other = normalize_traced(pc, _pc_add(pc, depth - 1), "constructor", bounds)
+    assert a != other
+    text = repr(a[0])
+    assert text.count("StepWitness(") == depth + 1
+    assert text.startswith("StepWitness(position=(), rule_label='b2', ")
+    assert text.endswith("sub_witnesses=())" + ",),))" * depth)
