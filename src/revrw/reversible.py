@@ -11,7 +11,8 @@ recent first; a pair couples a ground term with a trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 from .errors import (
@@ -62,6 +63,10 @@ EMPTY_TRACE: Trace = ()
 class Pair:
     term: Term
     trace: Trace = EMPTY_TRACE
+    # The system under which the functions below built this pair from a
+    # safe one, so that it is safe by construction; None for a pair built
+    # by hand, which is checked in full.
+    _safe_for: RewriteSystem | None = field(default=None, init=False, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"<{format_term(self.term)}, {format_trace(self.trace)}>"
@@ -111,9 +116,18 @@ def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
 
 
 def _require_safe(system: RewriteSystem, pair: Pair) -> None:
+    if pair._safe_for is system:
+        return
     report = is_safe(system, pair.trace)
     if not report.ok:
         raise UnsafePair("; ".join(report.findings))
+
+
+def _safe_pair(system: RewriteSystem, term: Term, trace: Trace) -> Pair:
+    """A pair built from a safe pair under system, marked as safe under it."""
+    pair = Pair(term, trace)
+    object.__setattr__(pair, "_safe_for", system)
+    return pair
 
 
 def witness_trace_term(system: RewriteSystem, witness: StepWitness) -> TraceTerm:
@@ -182,7 +196,7 @@ def _forward(system: RewriteSystem, pair: Pair, strategy: str, bounds: Bounds) -
     witness = first_step(system, pair.term, strategy, bounds)
     if witness is None:
         raise NoStep(f"{format_term(pair.term)} is a normal form under {strategy}")
-    return Pair(witness.result, (witness_trace_term(system, witness), *pair.trace))
+    return _safe_pair(system, witness.result, (witness_trace_term(system, witness), *pair.trace))
 
 
 def forward_successors(
@@ -195,7 +209,7 @@ def forward_successors(
     point for the nondeterministic forward relation)."""
     _require_safe(system, pair)
     return [
-        Pair(w.result, (witness_trace_term(system, w), *pair.trace))
+        _safe_pair(system, w.result, (witness_trace_term(system, w), *pair.trace))
         for w in step(system, pair.term, strategy, bounds)
     ]
 
@@ -223,7 +237,7 @@ def forward_run(
     if witness is None:
         return pair
     recorded.reverse()
-    return Pair(witness.result, (*recorded, *pair.trace))
+    return _safe_pair(system, witness.result, (*recorded, *pair.trace))
 
 
 def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
@@ -233,7 +247,8 @@ def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
     _require_safe(system, pair)
     if not pair.trace:
         raise EmptyTrace("backward step on an empty trace")
-    return Pair(_backward_to_empty(system, pair.term, pair.trace[:1]), pair.trace[1:])
+    term = _backward_to_empty(system, pair.term, pair.trace[:1])
+    return _safe_pair(system, term, pair.trace[1:])
 
 
 class _Zipper:
@@ -241,23 +256,22 @@ class _Zipper:
     first, each with the index of the child on the path. Moving to another
     position goes up to the common prefix and down from there; a node is
     rebuilt when the search goes up through it and only if the focus below
-    it was replaced."""
+    it is no longer its child."""
 
-    __slots__ = ("path", "position", "focus", "changed")
+    __slots__ = ("path", "position", "focus")
 
     def __init__(self, term: Term):
         self.path: list[tuple[App, int]] = []
         self.position: Position = ()
         self.focus = term
-        self.changed = False
 
     def _up(self) -> None:
         node, i = self.path.pop()
-        if self.changed:
-            args = node.args
-            self.focus = App(node.symbol, args[: i - 1] + (self.focus,) + args[i:])
-        else:
+        args = node.args
+        if args[i - 1] is self.focus:
             self.focus = node
+        else:
+            self.focus = App(node.symbol, args[: i - 1] + (self.focus,) + args[i:])
 
     def move(self, position: Position) -> bool:
         """Focus the subterm at position; False if the term has none, and
@@ -283,13 +297,8 @@ class _Zipper:
                 return False
             path.append((t, i))
             self.focus = t.args[i - 1]
-            self.changed = False
         self.position = position
         return True
-
-    def replace(self, t: Term) -> None:
-        self.focus = t
-        self.changed = True
 
     def close(self) -> Term:
         while self.path:
@@ -365,14 +374,14 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             raise TraceMismatch(
                 f"{tt.label}: left-hand side variables remain unbound after playback"
             )
-        zipper.replace(rebuilt)
+        zipper.focus = rebuilt
 
 
 def backward_run(system: RewriteSystem, pair: Pair) -> Pair:
     """Apply backward_step until the trace is empty: exactly len(trace)
     top-level steps."""
     _require_safe(system, pair)
-    return Pair(_backward_to_empty(system, pair.term, pair.trace))
+    return _safe_pair(system, _backward_to_empty(system, pair.term, pair.trace), EMPTY_TRACE)
 
 
 # ---------------------------------------------------------------------------
@@ -421,54 +430,67 @@ def _format(stack: list) -> str:
 
 
 def parse_trace(text: str) -> Trace:
-    """Inverse of format_trace. The substitution arrow may be written `->`
-    or the mapsto glyph.
+    """Inverse of format_trace. Whitespace may stand between any two lexemes,
+    and the substitution arrow may be written `->` or the mapsto glyph.
 
-    Text as format_trace prints it is read by `_read_printed`; any other
-    text, and every malformed one, is read again by the token reader."""
+    Every well-formed text is read by `_read_printed`. The token reader reads
+    only the text it declines, to raise the `ParseError` with its location."""
     trace = _read_printed(text)
     if trace is None:
-        stream = TokenStream(tokenize(text, positions=True))
+        stream = TokenStream(tokenize(text))
         trace = _parse_trace(stream)
         stream.finish()
     return trace
 
 
-# A trace term's head as format_trace prints it: the label, the position as
-# one group (digits and dots, checked when read), and the brace that opens
-# the recorded bindings, or `{}` (a third group). Compiled on first use, and
-# then found in the re module's cache.
-_HEAD = "(" + IDENT_PATTERN + r")\((e|[0-9][0-9.]*), \{(\})?"
+# What follows a trace term's bindings or one of its sub-traces: `)` and then
+# `,` (another trace term) or `]` (the end of the trace, a group), or `, [`
+# (another sub-trace, a group) and `]` if that is empty (a group).
+_TAIL = r"\s*(?:\)\s*(?:,|(\]))|,\s*(\[)\s*(\])?)"
+# A trace term's head: the label, the position (digits, dots, and the
+# underscores and whitespace that `int` takes, checked when read), the brace
+# that opens the recorded bindings and, if they are empty, `}` and what
+# follows it (see _TAIL). The position's whitespace is matched possessively:
+# given back to the `\s*` after it, a long run of it would cost quadratic time.
+_HEAD = (
+    r"\s*(" + IDENT_PATTERN + r")\s*\(\s*(e|[0-9][0-9.]*(?:[\s_][\s0-9_.]*+)?)\s*,\s*"
+    r"\{(?:\s*(\})" + _TAIL + ")?"
+)
+
+
+@cache
+def _trace_regexes():
+    """The matchers of a trace's opening bracket, heads and tails, compiled
+    on first use: compiling them takes longer than importing the module."""
+    return re.compile(r"\s*\[\s*(\])?").match, re.compile(_HEAD).match, re.compile(_TAIL).match
 
 
 def _read_printed(text: str) -> Trace | None:
-    """The trace in text, or None unless text is what format_trace prints
-    (whitespace around it aside). Each trace term's head is one regex match;
+    """The trace in text, or None if text is malformed. Each trace term's
+    head, and its tail when its bindings are empty, is one regex match;
     non-empty bindings go to `_parse_subst` over their span's tokens. The
     trace terms whose sub-traces are being read wait on a stack, as in
     `_parse_trace`."""
-    end = len(text.rstrip())
-    i = len(text) - len(text.lstrip())
-    if not text.startswith("[", i):
+    start, head, tail = _trace_regexes()
+    m = start(text)
+    if m is None:
         return None
-    i += 1
-    head = re.compile(_HEAD).match
+    end = len(text.rstrip())
     positions: dict[str, Position] = {}
     open_terms: list[tuple[list[TraceTerm], str, Position, Subst, list[Trace]]] = []
     items: list[TraceTerm] = []
-    more = not text.startswith("]", i)
+    closed = m.group(1)
     while True:
-        if more:
-            m = head(text, i)
+        if not closed:
+            m = head(text, m.end())
             if m is None:
                 return None
-            label, where, empty = m.groups()
-            i = m.end()
+            label, where, empty, closed, sub, sub_closed = m.groups()
             position = positions.get(where)
             if position is None:
                 try:
                     position = ROOT if where == "e" else tuple(map(int, where.split(".")))
-                except ValueError:  # an empty index, or one too long for int
+                except ValueError:  # an index int does not take: empty, 1 2, 1_, too long
                     return None
                 if 0 in position:
                     return None
@@ -476,42 +498,41 @@ def _read_printed(text: str) -> Trace | None:
             if empty:
                 recorded = EMPTY_SUBST
             else:
-                j = text.find("}", i) + 1
+                j = text.find("}", m.end()) + 1
                 if not j:
                     return None
                 try:
-                    recorded = _parse_subst(TokenStream(tokenize(text, True, i - 1, j)))
+                    recorded = _parse_subst(TokenStream(tokenize(text, m.end() - 1, j)))
                 except ParseError:
                     return None
-                i = j
+                m = tail(text, j)
+                if m is None:
+                    return None
+                closed, sub, sub_closed = m.groups()
             open_terms.append((items, label, position, recorded, []))
         else:
-            i += 1
             trace = tuple(items)
             if not open_terms:
-                return trace if i == end else None
+                return trace if m.end() == end else None
             open_terms[-1][4].append(trace)
+            m = tail(text, m.end())
+            if m is None:
+                return None
+            closed, sub, sub_closed = m.groups()
         # The innermost open trace term goes on with a sub-trace or ends.
-        if text.startswith(", [", i):
-            i += 3
+        if sub:
             items = []
-            more = not text.startswith("]", i)
+            closed = sub_closed
             continue
-        if not text.startswith(")", i):
-            return None
         items, label, position, recorded, subs = open_terms.pop()
         items.append(TraceTerm(label, position, recorded, tuple(subs)))
-        i += 1
-        more = text.startswith(", ", i)
-        if more:
-            i += 2
-        elif not text.startswith("]", i):
-            return None
 
 
 def _parse_trace(stream: TokenStream) -> Trace:
-    """One bracketed trace. The trace terms whose sub-traces are being read
-    wait on a stack, so nesting takes no recursion."""
+    """One bracketed trace, read token by token, where `_read_printed`
+    declined the text: for the `ParseError` and its line and column. The
+    trace terms whose sub-traces are being read wait on a stack, so nesting
+    takes no recursion."""
     # Open trace terms, innermost last: the trace they sit in, their label,
     # position and recorded bindings, and their sub-traces read so far.
     open_terms: list[tuple[list[TraceTerm], str, Position, Subst, list[Trace]]] = []
@@ -547,21 +568,13 @@ def _parse_trace(stream: TokenStream) -> Trace:
 
 
 def _parse_pos(stream: TokenStream) -> Position:
-    """A position: POS and IDENT tokens joined by dots (one POS token, e, a
-    single index, or text that is no position at all)."""
-    first = stream.peek()
-    if first is not None and first.kind == "POS":
-        stream.next()
-    else:
-        first = stream.expect("IDENT")
+    """A position: IDENT tokens joined by dots (e, indices, or text that is
+    no position at all)."""
+    first = stream.expect("IDENT")
     parts = [first.text]
     while stream.at("DOT"):
         stream.next()
-        tok = stream.peek()
-        if tok is not None and tok.kind == "POS":
-            parts.append(stream.next().text)
-        else:
-            parts.append(stream.expect("IDENT").text)
+        parts.append(stream.expect("IDENT").text)
     try:
         return parse_position(".".join(parts))
     except InvalidPosition as exc:

@@ -395,24 +395,14 @@ _TOKENS = r"""
     | (?P<BAD>.)
     """
 _TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
-# Traces also read a dotted position, such as 1.1.2, as one POS token: two or
-# more digit runs joined by dots, where each run is a whole IDENT token of the
-# plain syntax (nothing that could extend an IDENT follows it).
-_TRACE_TOKEN_RE = re.compile(
-    r"(?P<POS>[0-9]+(?:\.[0-9]+)+(?![A-Za-z0-9_'^#]))|" + _TOKENS, re.VERBOSE
-)
 
 
-def tokenize(
-    text: str, positions: bool = False, start: int = 0, end: int | None = None
-) -> list[Token]:
-    """The tokens of text[start:end], at their offsets in text; with
-    positions, a dotted position is one POS token (the trace syntax)."""
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[Token]:
+    """The tokens of text[start:end], at their offsets in text."""
     lines = _Lines(text)
     tokens: list[Token] = []
     append = tokens.append
-    pattern = _TRACE_TOKEN_RE if positions else _TOKEN_RE
-    for m in pattern.finditer(text, start, len(text) if end is None else end):
+    for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end):
         kind = m.lastgroup
         if kind == "WS":
             continue
@@ -422,24 +412,8 @@ def tokenize(
     return tokens
 
 
-def _split_position(tok: Token) -> list[Token]:
-    """The IDENT and DOT tokens that a POS token stands for."""
-    out = []
-    offset = tok.offset
-    for k, part in enumerate(tok.text.split(".")):
-        if k:
-            out.append(Token("DOT", ".", offset, tok.lines))
-            offset += 1
-        out.append(Token("IDENT", part, offset, tok.lines))
-        offset += len(part)
-    return out
-
-
 class TokenStream:
-    """Tokens read front to back. Only a position parser takes a POS token
-    as it is; anywhere else it reads as the IDENT and DOT tokens it stands
-    for, so every error names the token and place it would without POS
-    tokens. That costs nothing until a POS token is met out of place."""
+    """Tokens read front to back."""
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
@@ -452,8 +426,6 @@ class TokenStream:
         i = self._i
         if i >= len(self._tokens):
             last = self._tokens[-1] if self._tokens else None
-            if last is not None and last.kind == "POS":
-                last = _split_position(last)[-1]
             raise ParseError(
                 "unexpected end of input",
                 last.line if last else 1,
@@ -465,10 +437,6 @@ class TokenStream:
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
         if tok.kind != kind or (text is not None and tok.text != text):
-            if tok.kind == "POS":
-                i = self._i = self._i - 1
-                self._tokens[i : i + 1] = _split_position(tok)
-                return self.expect(kind, text)
             want = text if text is not None else kind
             raise ParseError(f"expected {want}, found {tok.text!r}", tok.line, tok.column)
         return tok
@@ -481,8 +449,6 @@ class TokenStream:
         """Fail unless every token has been read."""
         tok = self.peek()
         if tok is not None:
-            if tok.kind == "POS":
-                tok = _split_position(tok)[0]
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
 
 

@@ -610,7 +610,7 @@ def _ref_undo(system, term, tt, rule, theta=None):
 # Reference trace parser: one token per identifier and per dot, recursive
 # descent
 #
-# This is the parser the library's position tokens and explicit stack
+# This is the parser the library's regex reader and explicit stack
 # replaced, with one fix: a malformed position is a ParseError located at
 # its first token. Its values and errors (type, text, line and column) are
 # the specification `parse_trace` is tested against.

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
 from revrw import (
     EmptyTrace,
+    NoStep,
     Pair,
     ParseError,
     Subst,
@@ -32,6 +35,7 @@ from .oracles import (
     basic_terms,
     enumerate_backward_steps,
     reachable_terms,
+    ref_backward_run,
     ref_parse_trace,
     reversibly_reachable_terms,
     same_term,
@@ -231,6 +235,58 @@ def test_backward_detects_foreign_trace(addfst, double_sys):
         backward_run(double_sys, foreign)
 
 
+def test_a_failed_move_after_a_replacement_names_the_replayed_term(addmult):
+    # Undoing b1 at 1 turns s(0) into s(add(0,0)), which has no position 1.1.1.
+    pair = Pair(t(addmult, "s(0)"), parse_trace("[b1(1, {}), b2(1.1.1, {})]"))
+    for run in (backward_run, ref_backward_run):
+        with pytest.raises(TraceMismatch) as caught:
+            run(addmult, pair)
+        assert str(caught.value) == "b2: position 1.1.1 not in s(add(0,0))"
+
+
+def test_pairs_built_step_by_step_are_checked_once(addmult, monkeypatch):
+    # Driving mult(20,20) one step at a time, and back a few steps: only the
+    # hand-built start is checked; every later pair is built from a safe one.
+    import revrw.reversible
+
+    calls = 0
+
+    def counting(system, trace):
+        nonlocal calls
+        calls += 1
+        return is_safe(system, trace)
+
+    monkeypatch.setattr(revrw.reversible, "is_safe", counting)
+    start = Pair(addmult.signature["mult"](_nat(addmult, 20), _nat(addmult, 20)))
+    pair = start
+    while True:
+        try:
+            pair = forward_step(addmult, pair)
+        except NoStep:
+            break
+    assert calls == 1 and len(pair.trace) == 3841
+    end = pair
+    for _ in range(100):
+        pair = backward_step(addmult, pair)
+    assert calls == 1 and pair.trace == end.trace[100:]
+    assert forward_run(addmult, pair) == end and calls == 1
+
+
+def test_pairs_built_by_hand_or_for_another_system_are_checked_in_full(needvars, double_sys):
+    out = forward_step(needvars, Pair(t(needvars, "f(1,2,4)")))
+    bogus = TraceTerm("b1", (), Subst(), ((), ()))
+    for unsafe in (Pair(out.term, (bogus, *out.trace)), replace(out, trace=(bogus,))):
+        with pytest.raises(UnsafePair):
+            forward_step(needvars, unsafe)
+    # Safe under needvars, unsafe under double: the error of a hand-built copy.
+    for call in (forward_step, forward_successors, forward_run, backward_step, backward_run):
+        with pytest.raises(UnsafePair) as caught:
+            call(double_sys, out)
+        with pytest.raises(UnsafePair) as expected:
+            call(double_sys, Pair(out.term, out.trace))
+        assert str(caught.value) == str(expected.value)
+
+
 def test_safety_preserved_by_both_directions(needvars):
     pair = Pair(t(needvars, "f(1,2,4)"))
     fwd = forward_step(needvars, pair, "innermost")
@@ -427,7 +483,8 @@ def _parse_outcome(parse, text):
         return ("raise", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
 
 
-# Text that format_trace would not print: only the token reader reads it.
+# Text that format_trace would not print: re-spaced, with leading zeros, or
+# with the `ε` that the trace syntax does not take.
 RESPACED_TRACES = (
     "[b1(1 . 2, {}),\n b2( 3.4 , {x -> [a, b]}, [], [b3(2.1.1, {})])]",
     "[b1(ε, {})]",
@@ -444,6 +501,17 @@ HAND_WRITTEN_TRACES = RESPACED_TRACES + (
     "[b1(2.1, {xs -> [a, [b, c], nil], y -> f(g(a,[b]),h(s(s(c))))}, [b2(1, {z -> []})])]",
     "[b1(e, {x -> f(a,\n  g(b)), y -> c}), b2(1.1, {})]",
     " [b1(01.2, {})]\n",
+)
+
+
+# Positions that `int` reads but the trace syntax may not, and the reverse,
+# and whitespace where printed text has none or where it splits a lexeme.
+EDGE_TRACES = (
+    "[b1(1_0, {})]", "[b1(1 2, {})]", "[b1(, {})]", "[b1(٣, {})]", "[b1(e.1, {})]",
+    "[b1(0, {})]", "[b1(00, {})]", "[b1(+1, {})]", "[b1(1._0, {})]", "[b1(1_, {})]",
+    "[b1(1.2., {})]", "[b1(.1, {})]", "[ ]", " [ ] ", "[b1( e , { } )]", "[b1(e,{})]",
+    "[b1(e, {} , [ ] , [b2(1,{})] )]", "[b1(e, {}),]", "[b1(e, {}), []]", "[b1(e, {},)]",
+    "[b1(e, {x->0}]", "[b1(e, {x - > 0})]", "[b1(e, {}) b2(e, {})]", "[b1 (1\t.\n2, {})]",
 )
 
 
@@ -491,6 +559,16 @@ def _mutate(text: str, rng) -> str:
     return text
 
 
+@lru_cache(maxsize=1)
+def _mutated_traces() -> tuple[tuple[str, tuple], ...]:
+    """20,000 seeded mutations of the recorded texts, each with the reference
+    parser's outcome."""
+    rng = random.Random(7)
+    texts = _recorded_trace_texts()
+    mutated = (_mutate(rng.choice(texts), rng) for _ in range(20000))
+    return tuple((text, _parse_outcome(ref_parse_trace, text)) for text in mutated)
+
+
 def test_parse_trace_matches_reference_on_recorded_traces():
     texts = _recorded_trace_texts()
     assert len(texts) > 100
@@ -502,16 +580,38 @@ def test_parse_trace_matches_reference_on_recorded_traces():
 
 
 def test_printed_traces_are_read_without_the_token_reader():
-    # Bindings spanning lines, list sugar, the mapsto glyph, generated names
-    # and whitespace around the trace are still read by the regex reader.
+    # The regex reader declines a text iff the reference rejects it, and
+    # otherwise reads the reference's trace: recorded, hand-written and
+    # mutated texts.
     from revrw.reversible import _read_printed
 
-    texts = _recorded_trace_texts()
-    declined = [text for text in texts if _read_printed(text) is None]
-    assert declined == list(RESPACED_TRACES)
-    for text in texts:
-        if text not in RESPACED_TRACES:
-            assert _read_printed(text) == ref_parse_trace(text), text
+    texts = _recorded_trace_texts() + EDGE_TRACES
+    cases = [(text, _parse_outcome(ref_parse_trace, text)) for text in texts]
+    for text, want in cases + list(_mutated_traces()):
+        got = _read_printed(text)
+        assert (got is None) == (want[0] == "raise"), text
+        if got is not None:
+            assert got == want[1], text
+
+
+def test_every_well_formed_trace_is_read_without_the_token_reader(monkeypatch):
+    import revrw.reversible
+
+    def forbidden(stream):
+        raise AssertionError("the token reader read a well-formed trace")
+
+    monkeypatch.setattr(revrw.reversible, "_parse_trace", forbidden)
+    forms = [
+        "[b1(e, {}), b2(1.2, {x ↦ s(0)})]",
+        "[b1(01.2, {}), b2(1 . 2, {})]",
+        "[b1(1_0, {})]",
+    ]
+    for text in _recorded_trace_texts():
+        if "ε" in text:
+            continue
+        forms += [text.replace(", ", sep) for sep in (",\t", ",\n  ", " ,  ")]
+    for text in forms:
+        assert parse_trace(text) == ref_parse_trace(text), text
 
 
 def test_position_index_too_long_for_an_int_is_a_parse_error():
@@ -519,6 +619,15 @@ def test_position_index_too_long_for_an_int_is_a_parse_error():
     for text in ("[b1(" + "1" * 5000 + ".1, {})]", "[b1(2." + "1" * 5000 + ", {})]"):
         got = _parse_outcome(parse_trace, text)
         assert got[:2] == ("raise", ParseError) and got[2].startswith("bad position syntax")
+        assert got == _parse_outcome(ref_parse_trace, text)
+
+
+def test_a_long_whitespace_run_in_a_position_is_read_in_linear_time():
+    # Backtracking through the run, one space at a time, would take minutes.
+    for text in ("[b1(1" + " " * 200_000 + "x, {})]", "[b1(1" + " " * 200_000 + ".2, {})]"):
+        start = time.perf_counter()
+        got = _parse_outcome(parse_trace, text)
+        assert time.perf_counter() - start < 2
         assert got == _parse_outcome(ref_parse_trace, text)
 
 
@@ -575,13 +684,10 @@ def test_backward_run_replays_without_match_apply_or_union(monkeypatch):
 
 
 def test_parse_trace_matches_reference_on_mutated_traces():
-    rng = random.Random(7)
-    texts = _recorded_trace_texts()
     outcomes = []
-    for _ in range(20000):
-        text = _mutate(rng.choice(texts), rng)
+    for text, want in _mutated_traces():
         got = _parse_outcome(parse_trace, text)
-        assert got == _parse_outcome(ref_parse_trace, text), text
+        assert got == want, text
         outcomes.append(got[0] if got[0] == "ok" else got[2])
     # Both outcomes occur, and errors of many kinds, malformed positions too.
     for kind in ("ok", "bad position syntax", "position indices are 1-based", "expected RPAREN",
