@@ -51,7 +51,19 @@ class BoundExceeded(RevrwError):
 
 
 class NoStep(RevrwError):
-    """The term is a normal form under the requested strategy."""
+    """The term is a normal form under the requested strategy. The text is
+    built when the error is printed: a caller that catches it to stop a run
+    never formats the term."""
+
+    def __init__(self, term, strategy: str):
+        super().__init__(term, strategy)
+        self.term = term
+        self.strategy = strategy
+
+    def __str__(self) -> str:
+        from .terms import format_term
+
+        return f"{format_term(self.term)} is a normal form under {self.strategy}"
 
 
 class EmptyTrace(RevrwError):

@@ -26,7 +26,6 @@ from .errors import (
     UnknownLabel,
     UnsafePair,
 )
-from .programs import build, run
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
 from .systems import IDENT_PATTERN, RewriteSystem, TermParser, TokenStream, tokenize
 from .terms import (
@@ -195,7 +194,7 @@ def forward_step(
 def _forward(system: RewriteSystem, pair: Pair, strategy: str, bounds: Bounds) -> Pair:
     witness = first_step(system, pair.term, strategy, bounds)
     if witness is None:
-        raise NoStep(f"{format_term(pair.term)} is a normal form under {strategy}")
+        raise NoStep(pair.term, strategy)
     return _safe_pair(system, witness.result, (witness_trace_term(system, witness), *pair.trace))
 
 
@@ -335,8 +334,8 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             focus = zipper.focus
             if focus.__class__ is not App or not focus.ground:
                 raise NotGround(f"match subject must be ground: {format_term(focus)}")
-            slots = list(program.init)
-            if not run(program.rhs, [(focus,)], slots, False):
+            slots = program.rhs(focus)
+            if slots is None:
                 raise TraceMismatch(
                     f"{tt.label}: right-hand side {format_term(program.rule.rhs)} does not "
                     f"match {format_term(focus)}"
@@ -351,7 +350,7 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
                 return value
             trace, n, tt, program, slots, j, zipper = frames.pop()
             i, _, lhs = program.conditions[j]
-            if not run(lhs, [(value,)], slots, False):
+            if not lhs(value, slots):
                 raise TraceMismatch(
                     f"{tt.label}: condition {i + 1} left-hand side does not match the "
                     f"replayed value {format_term(value)}"
@@ -360,7 +359,7 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
         # The pending trace term replays its next condition, or is undone.
         if j < len(program.conditions):
             i, rhs, _ = program.conditions[j]
-            start = build(rhs, slots)
+            start = rhs(slots)
             if start.__class__ is not App or not start.ground:
                 raise TraceMismatch(
                     f"{tt.label}: condition {i + 1} right-hand side is not ground "
@@ -369,7 +368,7 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             frames.append((trace, n, tt, program, slots, j, zipper))
             zipper, trace, n = _Zipper(start), tt.sub_traces[i], 0
             continue
-        rebuilt = build(program.lhs, slots)
+        rebuilt = program.lhs(slots)
         if not rebuilt.ground:
             raise TraceMismatch(
                 f"{tt.label}: left-hand side variables remain unbound after playback"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceeded, NotGround, PreconditionViolated
-from .programs import RuleProgram, build, run
+from .programs import RuleProgram
 from .systems import RewriteSystem, Rule
 from .terms import (
     App,
@@ -265,43 +265,55 @@ class _Engine:
         derivations: list[tuple[StepWitness, ...]] = []
         if program is not None:
             programs = (program,)
+        # len(programs) and len(parents), kept as counts.
+        n = len(programs)
+        depth = 0
         found: list[StepWitness] = []
         while True:
             if program is None:
-                if k < len(programs):
+                # The rule programs left at node, tried in turn.
+                while k < n:
+                    slots = programs[k].lhs(node.args, constructor)
+                    if slots is not None:
+                        break
+                    k += 1
+                if k < n:
                     program = programs[k]
-                    slots = list(program.init)
-                    if not run(program.lhs, [node.args], slots, constructor):
-                        program = None
-                        k += 1
-                        continue
-                    if len(parents) >= max_depth:
+                    if depth >= max_depth:
                         raise BoundExceeded("condition evaluation depth bound exceeded")
                     c = 0
                     derivations = []
                 else:
-                    node = cursor.next_candidate()
-                    if node is not None:
-                        if check_ground and not node.ground:
-                            # As matching any rule would, even one with
-                            # another root symbol.
-                            raise NotGround(f"match subject must be ground: {format_term(node)}")
-                        programs = table.get(node.symbol.name, ())
-                        if programs and programs[0].arity != node.symbol.arity:
-                            programs = ()
-                        k = 0
-                        continue
+                    if cursor is None:
+                        # A closed level: its term is node.
+                        value = node
+                    else:
+                        node = cursor.next_candidate()
+                        if node is not None:
+                            if check_ground and not node.ground:
+                                # As matching any rule would, even one with
+                                # another root symbol.
+                                raise NotGround(f"match subject must be ground: {format_term(node)}")
+                            programs = table.get(node.symbol.name, ())
+                            n = len(programs)
+                            if n and programs[0].arity != node.symbol.arity:
+                                programs, n = (), 0
+                            k = 0
+                            continue
+                        value = cursor.term
                     # The level has reached a normal form.
-                    if not parents:
+                    if not depth:
                         if mode == _NORMALIZE:
-                            return cursor.term, steps
+                            return value, steps
                         return found if mode == _ALL else None
-                    value, sub = cursor.term, steps
+                    sub = steps
                     cursor, steps, node, programs, k, slots, c, derivations = parents.pop()
+                    depth -= 1
+                    n = len(programs)
                     program = programs[k]
                     if value.__class__ is not App or not value.ground:
                         raise NotGround(f"match subject must be ground: {format_term(value)}")
-                    if not run(program.conditions[c][2], [(value,)], slots, constructor):
+                    if not program.conditions[c][2](value, slots, constructor):
                         program = None
                         k += 1
                         continue
@@ -312,35 +324,62 @@ class _Engine:
             conditions = program.conditions
             if c < len(conditions):
                 lhs, ground, _ = conditions[c]
-                term = build(lhs, slots)
+                term = lhs(slots)
                 if not ground:
                     raise PreconditionViolated(
                         f"rule {program.rule.label}: condition lhs {format_term(term)} is not "
                         "ground under the accumulated substitution (system is not deterministic)"
                     )
                 parents.append((cursor, steps, node, programs, k, slots, c, derivations))
-                cursor = _Cursor(term, top, any_node)
+                depth += 1
                 steps = []
-                programs, k, program = (), 0, None
+                k, program = 0, None
+                # A closed term (its root defined, and under top or its
+                # arguments constructor terms) is its own first candidate,
+                # and needs no cursor while no step has changed it.
+                closed = term.symbol.kind == DEFINED
+                if closed and not top:
+                    for a in term.args:
+                        if not a.constructor:
+                            closed = False
+                            break
+                if closed:
+                    cursor, node = None, term
+                    programs = table.get(term.symbol.name, ())
+                    n = len(programs)
+                    if n and programs[0].arity != term.symbol.arity:
+                        programs, n = (), 0
+                else:
+                    cursor = _Cursor(term, top, any_node)
+                    programs, n = (), 0
                 continue
             # The rule applies at node.
-            if parents or mode == _NORMALIZE:
-                rhs = build(program.rhs, slots)
+            if depth or mode == _NORMALIZE:
+                rhs = program.rhs(slots)
                 if record:
                     steps.append(
                         StepWitness._in_context(
-                            cursor.link(), program, slots, rhs, tuple(derivations)
+                            None if cursor is None else cursor.link(),
+                            program, slots, rhs, tuple(derivations),
                         )
                     )
-                cursor.plant(rhs, program.rule.rhs)
+                if cursor is not None:
+                    cursor.plant(rhs, program.rule.rhs)
+                elif rhs.__class__ is App and rhs.constructor:
+                    # The closed level's step leaves no candidate: its
+                    # normal form is rhs.
+                    node = rhs
+                else:
+                    cursor = _Cursor(rhs, top, any_node)
+                    cursor.pattern = program.rule.rhs
                 if steps_left <= 0:
                     raise BoundExceeded("step bound exceeded")
                 steps_left -= 1
-                programs, k, program = (), 0, None
+                programs, n, k, program = (), 0, 0, None
                 continue
             if mode == _SOLVE:
                 return derivations
-            rhs = build(program.rhs, slots)
+            rhs = program.rhs(slots)
             witness = StepWitness._in_context(
                 cursor.link(), program, slots, rhs, tuple(derivations)
             )

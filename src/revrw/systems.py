@@ -153,7 +153,8 @@ class RewriteSystem:
     def programs(self) -> dict[str, tuple[RuleProgram, ...]]:
         """Every rule compiled to its slot programs (see `revrw.programs`),
         indexed like `rules_by_root`. Compiled once per system, on the first
-        rule attempt: most systems a transformation builds never rewrite."""
+        rule attempt, and each rule to code on its own first attempt: most
+        systems a transformation builds never rewrite."""
         domains = self.safety_domains
         return {
             name: tuple(RuleProgram(r, domain=domains[r.label]) for r in rules)

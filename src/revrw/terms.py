@@ -6,7 +6,7 @@ Positions are 1-based index paths; the empty path addresses the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidPosition, NotGround, OverlappingDomains
@@ -39,40 +39,46 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class App:
     """A function symbol applied to its arguments. Two flags are cached at
     construction, so that neither question walks the term: `ground` (no
     variable occurs in it) and `constructor` (every symbol in it is a
     constructor; variables may occur).
 
-    Equality and hashing walk the term with an explicit stack, so terms of
-    any depth compare and hash; shared subterms compare by identity."""
+    Instances are immutable: `__init__` writes the slots through their own
+    descriptors, and assigning or deleting an attribute raises, as on a
+    frozen dataclass. Equality and hashing walk the term with an explicit
+    stack, so terms of any depth compare and hash; shared subterms compare
+    by identity."""
 
-    symbol: Symbol
-    args: tuple["Term", ...] = ()
-    ground: bool = field(init=False, compare=False, repr=False)
-    constructor: bool = field(init=False, compare=False, repr=False)
+    __slots__ = ("symbol", "args", "ground", "constructor")
+    __match_args__ = ("symbol", "args")
 
-    def __post_init__(self) -> None:
-        args = self.args
-        if not isinstance(args, tuple):
+    def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()):
+        if args.__class__ is not tuple:
             args = tuple(args)
-            object.__setattr__(self, "args", args)
-        if len(args) != self.symbol.arity:
-            raise ValueError(
-                f"symbol {self.symbol!r} applied to {len(args)} arguments"
-            )
+        if len(args) != symbol.arity:
+            raise ValueError(f"symbol {symbol!r} applied to {len(args)} arguments")
         ground = True
-        constructor = self.symbol.kind != DEFINED
+        constructor = symbol.kind != DEFINED
         for a in args:
             if a.__class__ is App:
-                ground = ground and a.ground
-                constructor = constructor and a.constructor
+                if not a.ground:
+                    ground = False
+                if not a.constructor:
+                    constructor = False
             else:
                 ground = False
+        _set_symbol(self, symbol)
+        _set_args(self, args)
         _set_ground(self, ground)
         _set_constructor(self, constructor)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -120,10 +126,26 @@ class App:
         return format_term(self)
 
 
-# The slots' own setters: like object.__setattr__ they skip the frozen
-# __setattr__, at about half its cost per call.
+# The slots' own setters, which skip App.__setattr__.
+_set_symbol = App.symbol.__set__
+_set_args = App.args.__set__
 _set_ground = App.ground.__set__
 _set_constructor = App.constructor.__set__
+_new = object.__new__
+
+
+def assemble(symbol: Symbol, args: tuple["Term", ...], ground: bool, constructor: bool) -> App:
+    """The App of symbol over args with the given flags, unchecked: args is
+    a tuple of the symbol's arity, and the flags are those App would work
+    out. Generated builders (`revrw.programs`) call it with flags they
+    derive from their rule."""
+    t = _new(App)
+    _set_symbol(t, symbol)
+    _set_args(t, args)
+    _set_ground(t, ground)
+    _set_constructor(t, constructor)
+    return t
+
 
 Term = Union[Var, App]
 

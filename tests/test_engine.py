@@ -16,11 +16,16 @@ step bound (forward_run keeps its cap of max_steps top-level steps).
 
 from __future__ import annotations
 
+import io
+import keyword
 import random
+import re
+import tokenize
 
 import pytest
 from hypothesis import given, strategies as st
 
+import revrw.terms
 import revrw.transform
 from revrw import (
     App,
@@ -48,19 +53,21 @@ from revrw import (
     to_pcdctrs,
     view_update,
 )
-from revrw.programs import RuleProgram, build, run
+from revrw.programs import RuleProgram
 from revrw.rewrite import STRATEGIES, normalize_traced
 from revrw.terms import CONSTRUCTOR, DEFINED
 
 from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     SEARCH_BOUNDS,
+    build_ops,
     ref_backward_run,
     ref_first_step,
     ref_forward_run,
     ref_normalize_traced,
     ref_step,
     ref_view_update,
+    run_ops,
     same_term,
     view_sources,
 )
@@ -266,14 +273,17 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
     # In add(s^n(0),s^n(0)) every step moves the redex one level deeper. A
     # step that rebuilt the path to the root would make the App builds of a
     # run grow with n squared (16x from n = 100 to 400); the open spine and
-    # the backward zipper keep them linear.
-    original = App.__post_init__
+    # the backward zipper keep them linear. Every App is built by
+    # App.__init__ or by terms.assemble (generated builders), and each of
+    # them writes the symbol slot once, through terms._set_symbol: that is
+    # what is counted.
+    original = revrw.terms._set_symbol
     count = 0
 
-    def counting(self):
+    def counting(self, symbol):
         nonlocal count
         count += 1
-        original(self)
+        original(self, symbol)
 
     def builds(n: int) -> list[int]:
         nonlocal count
@@ -281,7 +291,7 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
         term = App(addmult.signature["add"], (x, x))
         counts = []
         with monkeypatch.context() as m:
-            m.setattr(App, "__post_init__", counting)
+            m.setattr(revrw.terms, "_set_symbol", counting)
             count = 0
             nf, _ = normalize_traced(addmult, term, "innermost")
             counts.append(count)
@@ -366,10 +376,31 @@ def _instance(draw, pattern: Term, names: str) -> Term:
     return draw(near(sigma.apply(pattern)))
 
 
+def _flags(t: Term) -> list:
+    """The ground and constructor flags of t's nodes, in preorder."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            out.append((u.ground, u.constructor))
+            stack.extend(reversed(u.args))
+    return out
+
+
+def _same_build(got: Term, want: Term) -> bool:
+    """Equal terms over symbols of the same kinds, with the flags App works
+    out: a generated builder sets them itself."""
+    return _shape(got) == _shape(want) and _flags(got) == _flags(want)
+
+
 def _match_program(program: RuleProgram, subject: App, constructor: bool):
-    slots = list(program.init)
-    ok = run(program.lhs, [subject.args], slots, constructor)
-    return slots if ok else None
+    """The slots of the generated lhs matcher, after checking them against
+    the reference interpreter's."""
+    slots = program.lhs(subject.args, constructor)
+    want = list(program.init)
+    ok = run_ops(program.lhs_ops, [subject.args], want, constructor)
+    assert (slots is not None) == ok and (not ok or slots == want), (program.source, subject)
+    return slots
 
 
 @examples(200)
@@ -383,7 +414,9 @@ def test_compiled_lhs_and_rhs_agree_with_match_and_apply(p1, p2, rhs, data):
     assert (slots is None) == (want is None), (lhs, subject)
     if want is not None:
         assert program.subst(slots) == want
-        assert _shape(build(program.rhs, slots)) == _shape(want.apply(rhs))
+        built = program.rhs(slots)
+        assert _same_build(built, want.apply(rhs))
+        assert _same_build(built, build_ops(program.rhs_ops, slots))
     # The constructor strategy: a match that binds a variable to a term in
     # which a defined symbol occurs fails.
     slots = _match_program(program, subject, True)
@@ -400,21 +433,26 @@ def test_condition_programs_agree_with_match_of_the_instance(p1, clhs, crhs, rhs
         return
     program = RuleProgram(Rule("t", lhs, rhs, (Condition(clhs, crhs),)))
     slots = _match_program(program, subject, False)
-    template, ground, rhs_program = program.conditions[0]
+    builder, ground, matcher = program.conditions[0]
+    template, _, rhs_program = program.condition_ops[0]
     instance = sigma.apply(clhs)
     # Variables the lhs left unbound stay variables, as in the
     # PreconditionViolated message.
-    assert _shape(build(template, slots)) == _shape(instance)
+    assert _same_build(builder(slots), instance)
+    assert _same_build(builder(slots), build_ops(template, slots))
     assert ground == (instance.__class__ is App and instance.ground)
     # The normal form: an instance of the condition rhs (bound variables
     # included), or one that differs from it somewhere.
     value = _instance(data.draw, sigma.apply(crhs), "xyzuv")
     theta = match(sigma.apply(crhs), value)
-    assert run(rhs_program, [(value,)], slots, False) == (theta is not None), (crhs, value)
+    reference = list(slots)
+    ok = run_ops(rhs_program, [(value,)], reference, False)
+    assert matcher(value, slots, False) == ok == (theta is not None), (crhs, value)
     if theta is not None:
+        assert slots == reference
         both = sigma.union(theta)
         assert program.subst(slots) == both
-        assert _shape(build(program.rhs, slots)) == _shape(both.apply(rhs))
+        assert _same_build(program.rhs(slots), both.apply(rhs))
 
 
 def test_rule_compiled_against_given_bindings():
@@ -425,15 +463,132 @@ def test_rule_compiled_against_given_bindings():
     c = INNER[0]
     rule = Rule("t", App(G, (x, y)), u, (Condition(App(INNER[2], (y,)), App(c, (x, u))),))
     program = RuleProgram(rule, Subst({"x": zero, "y": App(INNER[1], (Var("w"),))}))
-    assert program.lhs == () and program.names[:2] == ["x", "y"]
-    template, ground, rhs_program = program.conditions[0]
+    assert program.lhs is None and program.lhs_ops == () and program.names[:2] == ["x", "y"]
+    builder, ground, matcher = program.conditions[0]
     assert not ground
     slots = list(program.init)
-    assert repr(build(template, slots)) == "h(s(w))"
+    assert repr(builder(slots)) == "h(s(w))"
     value = App(c, (zero, App(LEAVES[1])))
-    assert run(rhs_program, [(value,)], slots, False)
+    assert matcher(value, slots, False)
     assert program.subst(slots) == Subst({"x": zero, "y": App(INNER[1], (Var("w"),)), "u": App(LEAVES[1])})
-    assert not run(rhs_program, [(App(c, (App(LEAVES[1]), zero)),)], list(program.init), False)
+    assert not matcher(App(c, (App(LEAVES[1]), zero)), list(program.init), False)
+
+
+# --- generated code never holds a name from the input ------------------------
+
+# One system shape, written with names that are Python keywords, builtins,
+# or no identifier at all (a quote, #, ^), as variables and as symbols: the
+# quote and the keywords are what would turn a spliced name into code.
+NAMED_SYSTEM = """(VAR {x} {y} {z} {w} {u})
+(RULES
+  {f}({x},{g}({y},{y})) -> {t}({y},{h}({x})) | {h}({x}) == {g}({z},{c}), {h}({z}) == {w} [b1]
+  {h}({c}) -> {g}({c},{c}) [b2]
+  {h}({d}({c})) -> {d}({c}) [b3]
+  {h}({g}({x},{y})) -> {x} [b4]
+  {f}({d}({c}),{u}) -> {u} [b5]
+)"""
+NAMED_TERMS = (
+    "{f}({c},{g}({c},{c}))",
+    "{f}({h}({d}({c})),{g}({d}({c}),{d}({c})))",
+    "{f}({d}({c}),{h}({g}({c},{d}({c}))))",
+    "{f}({d}({c}),{g}({c},{d}({c})))",
+)
+PLAIN_NAMES = dict(x="x", y="y", z="z", w="w", u="u", f="f", g="g", t="t", h="h", c="c", d="d")
+ODD_NAMES = (
+    dict(x="if", y="lambda", z="_w1", w="a'", u="class", f="f'", g="a''b", t="tuple#2",
+         h="view^-1", c="None", d="__import__"),
+    dict(x="None", y="__import__", z="f'", w="tuple#2", u="_w1", f="if", g="lambda", t="a''b",
+         h="def", c="return", d="view^-1"),
+)
+# Every name the generator writes: keywords, its helpers, the attributes it
+# reads, its locals and the globals it numbers.
+GENERATED_NAME = (
+    r"(?:def|if|is|not|and|or|return|None|True|False|_assemble|_App|lhs|conditions|rhs"
+    r"|symbol|name|arity|args|constructor|[tycs]|[rvxngf]\d+)"
+)
+
+
+def _program(system: RewriteSystem, rule: Rule) -> RuleProgram:
+    [program] = [p for p in system.programs[rule.lhs.symbol.name] if p.rule is rule]
+    return program
+
+
+def _sources(system: RewriteSystem) -> list[str]:
+    """The generated text of every rule, in textual order."""
+    return [_program(system, r).source + system.replays[r.label].source for r in system.rules]
+
+
+@pytest.mark.parametrize("names", ODD_NAMES)
+def test_generated_code_holds_no_input_name(names):
+    system = parse_system(NAMED_SYSTEM.format(**names), allow_reserved=True)
+    plain = parse_system(NAMED_SYSTEM.format(**PLAIN_NAMES))
+    sources = _sources(system)
+    # The text depends on the rules' shape alone.
+    assert sources == _sources(plain)
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, source
+            if tok.type == tokenize.NAME:
+                assert re.fullmatch(GENERATED_NAME, tok.string), (tok.string, source)
+        for name in names.values():
+            if not keyword.iskeyword(name) and name not in ("c", "s", "t", "y"):
+                assert name not in source, (name, source)
+    # And the code runs these rules as the reference engine and the ops'
+    # interpreters do.
+    for text in NAMED_TERMS:
+        term = parse_term(text.format(**names), system)
+        for strategy in STRATEGIES:
+            assert_same_engine(system, term, strategy, Bounds())
+    for rule in system.rules:
+        program = _program(system, rule)
+        for text in NAMED_TERMS:
+            subject = parse_term(text.format(**names), system)
+            for p in positions(subject):
+                node = subject
+                for i in p:
+                    node = node.args[i - 1]
+                if node.symbol != rule.lhs.symbol:
+                    continue
+                want = match(rule.lhs, node)
+                slots = _match_program(program, node, False)
+                assert (slots is None) == (want is None)
+                if slots is not None:
+                    assert program.subst(slots) == want
+                    built = program.rhs(slots)
+                    assert _same_build(built, want.apply(rule.rhs))
+                    assert _same_build(built, build_ops(program.rhs_ops, slots))
+
+
+def test_generated_builders_take_deep_and_wide_rules():
+    # A template 1,500 levels deep nests further than Python's parser takes
+    # brackets, and one over 40 variables reads 40 constructor flags: the
+    # builder splits both into locals, and sets the flags App works out.
+    n = 1500
+    deep = "x"
+    for _ in range(n):
+        deep = f"s({deep})"
+    names = [f"y{i}" for i in range(40)]
+    system = parse_system(
+        f"(VAR x {' '.join(names)})(RULES f({deep}) -> g({deep},k(x)) "
+        f"h(c({','.join(names)})) -> d(c({','.join(reversed(names))})))"
+    )
+    zero = parse_term("0", system)
+    s = system.signature["s"]
+
+    def nat(k: int) -> Term:
+        t = zero
+        for _ in range(k):
+            t = App(s, (t,))
+        return t
+
+    value = normalize(system, App(system.signature["f"], (nat(n + 2),)))
+    want = App(system.signature["g"], (nat(n + 2), App(system.signature["k"], (nat(2),))))
+    assert _same_build(value, want)
+    args = [parse_term("s(0)" if i % 3 else "h(0)", system) for i in range(40)]
+    c = system.signature["c"]
+    [witness] = step(system, App(system.signature["h"], (App(c, args),)), "any")[-1:]
+    assert _same_build(witness.result, App(system.signature["d"], (App(c, tuple(reversed(args))),)))
+    assert max(line.count("(") for line in _program(system, system.rules[0]).source.splitlines()) < 100
 
 
 def test_nonlinear_rule_on_deep_copies_below_the_recursion_limit():

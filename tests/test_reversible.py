@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+import revrw.cli
+import revrw.reversible
+import revrw.terms
 from revrw import (
     EmptyTrace,
     NoStep,
@@ -270,6 +273,39 @@ def test_pairs_built_step_by_step_are_checked_once(addmult, monkeypatch):
         pair = backward_step(addmult, pair)
     assert calls == 1 and pair.trace == end.trace[100:]
     assert forward_run(addmult, pair) == end and calls == 1
+
+
+def test_no_step_formats_its_term_only_when_printed(double_sys, monkeypatch, capsys):
+    # A run stepped with forward_step ends on NoStep, which the caller
+    # catches: the term is formatted only if the error is printed, and the
+    # text is what it was when it was built eagerly.
+    calls = 0
+    original = revrw.terms.format_term
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(revrw.terms, "format_term", counting)
+    monkeypatch.setattr(revrw.reversible, "format_term", counting)
+    term = t(double_sys, "s(s(0))")
+    for strategy in STRATEGIES:
+        with pytest.raises(NoStep) as info:
+            forward_step(double_sys, Pair(term), strategy)
+        assert calls == 0 and info.value.term is term and info.value.strategy == strategy
+        assert str(info.value) == f"s(s(0)) is a normal form under {strategy}"
+        assert calls == 1
+        calls = 0
+    with pytest.raises(NoStep, match=r"^s\(s\(0\)\) is a normal form under innermost$"):
+        forward_step(double_sys, Pair(term))
+
+    def raising(args):
+        raise info.value
+
+    monkeypatch.setattr(revrw.cli, "_run", raising)
+    assert revrw.cli.main(["check", "x.trs"]) == 1
+    assert capsys.readouterr().err == "revrw: NoStep: s(s(0)) is a normal form under top\n"
 
 
 def test_pairs_built_by_hand_or_for_another_system_are_checked_in_full(needvars, double_sys):

@@ -425,3 +425,27 @@ def test_unify_brute_force_deep_cases():
         else:
             for sigma in witnesses:
                 assert match(theta.apply(s), sigma.apply(s)) is not None
+
+
+def test_app_is_an_immutable_slotted_node():
+    # App is a hand-written slot class: built as the dataclass it replaces
+    # was (positional or keyword, args from any iterable, arity checked),
+    # and frozen like it.
+    from dataclasses import FrozenInstanceError
+
+    f, a = Symbol("f", 2, DEFINED), Symbol("a", 0)
+    x = App(a)
+    t = App(symbol=f, args=[x, Var("y")])
+    assert t.args == (x, Var("y")) and t.args.__class__ is tuple
+    assert (t.ground, t.constructor, x.ground, x.constructor) == (False, False, True, True)
+    assert not hasattr(t, "__dict__")
+    for name in ("symbol", "args", "ground", "constructor", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, x)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert t.args == (x, Var("y")) and t.ground is False
+    with pytest.raises(ValueError, match=r"^symbol f/2 applied to 1 arguments$"):
+        App(f, (x,))
+    assert App(f, (x, x)) == App(f, [App(a), App(a)]) and hash(App(f, (x, x))) == hash(App(f, (App(a), x)))
+    assert repr(t) == "f(a,y)"
