@@ -163,13 +163,6 @@ def _default_strategy(system: RewriteSystem, chosen: str | None) -> str:
     return "constructor" if system.is_pcdctrs else "innermost"
 
 
-def _transform_chain(system: RewriteSystem, improved: bool):
-    """(pcDCTRS, forward system, backward system) for an original input."""
-    pc, _ = to_pcdctrs(system)
-    forward = injectivize_improved(pc, system) if improved else injectivize(pc)
-    return pc, forward, invert(forward)
-
-
 def _run(args: argparse.Namespace) -> int:
     if args.command == "check":
         system = _read_system(args.file, allow_reserved=True)
@@ -229,22 +222,19 @@ def _run(args: argparse.Namespace) -> int:
         # Transforming commands generate reserved names, so their input must
         # not use any; the strict parse enforces that.
         system = _read_system(args.file, allow_reserved=False)
-        pc, forward, backward = _transform_chain(system, args.improved)
-        if args.command == "flatten":
-            _emit(format_system(pc), args.output)
-        elif args.command == "injectivize":
-            _emit(format_system(forward), args.output)
-        elif args.command == "invert":
-            _emit(format_system(backward), args.output)
-        else:
-            blocks = [
-                ("input system", system),
-                ("pcDCTRS (flattening + condition simplification)", pc),
-                ("injectivized system", forward),
-                ("inverted system", backward),
-            ]
+        # Each system is built only if the command prints it.
+        pc, _ = to_pcdctrs(system)
+        blocks = [("input system", system), ("pcDCTRS (flattening + condition simplification)", pc)]
+        if args.command != "flatten":
+            forward = injectivize_improved(pc, system) if args.improved else injectivize(pc)
+            blocks.append(("injectivized system", forward))
+            if args.command != "injectivize":
+                blocks.append(("inverted system", invert(forward)))
+        if args.command == "pipeline":
             text = "\n".join(f"== {title} ==\n{format_system(s)}" for title, s in blocks)
-            _emit(text, args.output)
+        else:
+            text = format_system(blocks[-1][1])
+        _emit(text, args.output)
         return 0
 
     if args.command == "bidir":

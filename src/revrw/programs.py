@@ -1,58 +1,57 @@
 """Rules compiled to Python functions over variable slots (Graf, Term
 Indexing, LNCS 1053, 1996; Kamperman and Walters, ARM, 1993).
 
-A rule's variables are numbered into slots in the order the compiler meets
-them: the left-hand side as `terms.match` visits it, then each condition's
-left- and right-hand side, then the right-hand side. A rule attempt fills a
-list with one slot per variable; a slot that was never bound holds
-`Var(name)`, so it instantiates to the variable itself, as `Subst.apply`
-leaves a variable it does not bind.
+When a program is built, its rule's variables are numbered into slots in
+one walk over the rule's terms, in the order its code meets them: a
+forward program's given bindings or left-hand side, then each condition's
+left- and right-hand side, then the right-hand side and the safety
+domain's names; a replay program's right-hand side and the safety domain's
+names, then each condition, last to first, and the left-hand side. A
+pattern is walked as `terms.match` visits it, arguments right to left; a
+template left to right. A rule attempt fills a list with one slot per
+variable; a slot that was never bound holds `Var(name)`, so it
+instantiates to the variable itself, as `Subst.apply` leaves a variable it
+does not bind.
 
-Each side of a rule is first compiled to ops:
+The code is the source text of Python functions, generated from the rule's
+terms and compiled with `compile` and `exec`, as `collections.namedtuple`
+builds its methods (Moreau, Ringeissen and Vittek, A pattern matching
+compiler for multiple target languages, CC 2003). One set holds the slots
+bound to ground terms so far, as the code runs the rule: a program's given
+bindings to ground terms, or a replay's safety domain, and each slot a
+matcher binds.
 
-- a match program is a tuple of ops `(register, index, op, operand)`, run
-  in order: the op reads argument `index` of the argument tuple in
-  `register`. Register 0 holds the subject's arguments (a rule's left-hand
-  side) or the one-tuple of the subject itself (a condition's right-hand
-  side); each SYMBOL op that succeeds appends the arguments of the node it
-  tested as the next register. SYMBOL tests the node's symbol, the operand,
-  by identity or else by name and arity, as `Symbol` equality has it; BIND
-  puts the node in the slot numbered by the operand; SAME tests that the
-  node equals that slot's term; EQUAL that it equals the operand, a ground
-  term;
-- a template is a tuple of ops `(op, operand)` in postfix order: SLOT
-  pushes a slot, CONST a ground term, BUILD applies a symbol to as many
-  terms as it has arguments, popped from the top of the stack.
+- A pattern becomes a matcher of straight-line tests over locals, in the
+  order `terms.match` visits it. A symbol is tested by identity or else by
+  name and arity, as `Symbol` equality has it, and its arguments read into
+  a local; a ground subterm with arguments is compared whole; a variable
+  whose slot is bound is compared with it, and any other is bound. A
+  left-hand side's matcher builds its slot list only when it succeeds.
+- A template becomes one nested expression of `terms.assemble` calls, whose
+  flags are worked out when the code is generated, except for the
+  `constructor` flags of the bound slots' terms, which the expression
+  reads: a slot that a match bound holds a ground term, as the engine and
+  backward playback check their subjects. A node over a slot that may be
+  unbound is built by `App`, which works out both flags. A condition's
+  left-hand side is ground when its builder reads only bound slots.
 
-The ops are then turned into the source text of Python functions, compiled
-with `compile` and `exec`, as `collections.namedtuple` builds its methods
-(Moreau, Ringeissen and Vittek, A pattern matching compiler for multiple
-target languages, CC 2003). A match program becomes straight-line tests
-over locals, and a left-hand side's matcher builds its slot list only when
-it succeeds. A template becomes one nested expression of `terms.assemble`
-calls, whose flags are worked out when the code is generated, except for
-the `constructor` flags of the slots' terms, which the expression reads: a
-slot that a match bound holds a ground term, as the engine and backward
-playback check their subjects. A node over a slot that may be unbound is
-built by `App`, which works out both flags. The text is made only
-of keywords and generated names: every symbol, constant and variable
-reaches the code through its globals dict, so no name from a `.trs` file
-is ever part of it.
+The text is made only of keywords and generated names: every symbol,
+constant and variable reaches the code through its globals dict, so no name
+from a `.trs` file is ever part of it.
 
-A system compiles its rules to ops on its first rule attempt
+A system builds its rules' programs on its first rule attempt
 (`RewriteSystem.programs`) or backward step (`RewriteSystem.replays`), and
-each rule to code on its own first attempt or replay; nothing is generated
-on import. `tests/oracles.py` interprets the ops as the reference, and the
-tests compare the generated code with it, with `terms.match` and with
-`Subst.apply`.
+each rule generates its code on its own first attempt or replay; nothing is
+generated on import. The tests compare the generated code with
+`terms.match` and `Subst.apply`.
 """
 
 from __future__ import annotations
 
-from .terms import DEFINED, EMPTY_SUBST, App, Subst, Term, Var, assemble
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-SYMBOL, BIND, SAME, EQUAL = range(4)
-SLOT, CONST, BUILD = range(3)
+from .terms import DEFINED, EMPTY_SUBST, App, Subst, Term, Var, assemble
 
 
 class _Generated:
@@ -61,6 +60,13 @@ class _Generated:
     text."""
 
     __slots__ = ()
+
+    def _number(self, given: Sequence[tuple[str, Term]], met: Iterable[str], domain: frozenset[str]) -> None:
+        """Set `names`, `init` and `safe`: the names of the given bindings
+        first, then the names met, then those of the safety domain not met."""
+        self.names = list(dict.fromkeys([*(name for name, _ in given), *met, *sorted(domain)]))
+        self.init = tuple(t for _, t in given) + tuple(map(Var, self.names[len(given):]))
+        self.safe = tuple((name, self.names.index(name)) for name in sorted(domain))
 
     def _load(self) -> None:
         namespace = self._code().compile()
@@ -71,9 +77,21 @@ class _Generated:
         return self._code().source()
 
 
+def _walk(t: Term, pattern: bool) -> Iterator[str]:
+    """The names of t's variables in preorder: arguments right to left in a
+    pattern, as `terms.match` visits them, left to right in a template."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            yield u.name
+        elif not u.ground:
+            stack.extend(u.args if pattern else reversed(u.args))
+
+
 class RuleProgram(_Generated):
-    """One rule compiled once: to ops when it is built, to code on its
-    first attempt.
+    """One rule compiled once: its slots numbered when it is built, its code
+    generated on its first attempt.
 
     - `names`: the rule's variables, one per slot; `init`, the slots'
       contents before an attempt;
@@ -88,47 +106,23 @@ class RuleProgram(_Generated):
       normal form, which binds slots and tells whether it matched;
     - `rhs(slots)`: the builder of the right-hand side;
     - `safe`: the safety domain it is given (the variables a trace term
-      records), as (name, slot) pairs by name;
-    - `lhs_ops`, `condition_ops` and `rhs_ops`: the same as ops.
+      records), as (name, slot) pairs by name.
 
-    With `constructor`, a matcher binds a slot only to a constructor term.
-    Until the first attempt, `lhs` generates the code and `conditions` and
-    `rhs` are None.
+    Compiled against given bindings, it binds those to ground terms; any
+    other keeps its term, and reads as unbound. With `constructor`, a
+    matcher binds a slot only to a constructor term. Until the first
+    attempt, `lhs` generates the code and `conditions` and `rhs` are None.
     """
 
-    __slots__ = (
-        "rule", "arity", "names", "init", "safe", "lhs", "conditions", "rhs",
-        "lhs_ops", "condition_ops", "rhs_ops",
-    )
+    __slots__ = ("rule", "arity", "names", "init", "safe", "lhs", "conditions", "rhs")
 
     def __init__(self, rule, given: Subst | None = None, domain: frozenset[str] = frozenset()):
         self.rule = rule
-        self.names: list[str] = []
-        slot = _numbering(self.names)
-
-        init: list[Term] = []
-        if given is None:
-            known: set[str] = set()
-            self.lhs_ops = _matcher(rule.lhs.args, known, slot)
-        else:
-            # Compiled against given bindings: those to ground terms are
-            # bound; any other keeps its term, and reads as unbound.
-            for name, t in given.items():
-                slot(name)
-                init.append(t)
-            known = {name for name, t in given.items() if t.__class__ is App and t.ground}
-            self.lhs_ops = ()
         self.arity = rule.lhs.symbol.arity
-        conditions = []
+        met = [_walk(rule.lhs, True)] if given is None else []
         for c in rule.conditions:
-            lhs = _template(c.lhs, slot)
-            ground = all(self.names[op[1]] in known for op in lhs if op[0] == SLOT)
-            conditions.append((lhs, ground, _matcher((c.rhs,), known, slot)))
-        self.condition_ops = tuple(conditions)
-        self.rhs_ops = _template(rule.rhs, slot)
-        self.safe = tuple((name, slot(name)) for name in sorted(domain))
-        init += (Var(name) for name in self.names[len(init):])
-        self.init = tuple(init)
+            met += _walk(c.lhs, False), _walk(c.rhs, True)
+        self._number(() if given is None else given.items(), chain(*met, _walk(rule.rhs, False)), domain)
         self.conditions = self.rhs = None
         if given is None:
             self.lhs = self._first_attempt
@@ -141,21 +135,20 @@ class RuleProgram(_Generated):
         return self.lhs(args, constructor)
 
     def _code(self) -> "_Code":
-        code = _Code(self.init)
+        code = _Code(self.names, self.init)
+        rule = self.rule
         # The slots bound to ground terms: given ones, then those each
-        # match program binds.
+        # matcher binds.
         bound = {k for k, t in enumerate(self.init) if t.__class__ is App and t.ground}
         lhs = "None"
         if self.lhs is not None:
-            lhs = code.matcher(self.lhs_ops, single=False, into=False, check=True)
-            bound |= _binds(self.lhs_ops)
+            lhs = code.matcher(rule.lhs.args, bound, single=False, into=False, check=True)
         conditions = []
-        for template, ground, program in self.condition_ops:
-            builder = code.builder(template, bound)
-            matcher = code.matcher(program, single=True, into=True, check=True)
+        for c in rule.conditions:
+            builder, ground = code.builder(c.lhs, bound)
+            matcher = code.matcher((c.rhs,), bound, single=True, into=True, check=True)
             conditions.append(f"({builder}, {ground}, {matcher})")
-            bound |= _binds(program)
-        return code.assign(lhs, conditions, code.builder(self.rhs_ops, bound))
+        return code.assign(lhs, conditions, code.builder(rule.rhs, bound)[0])
 
     def subst(self, slots: list[Term]) -> Subst:
         """The bindings of an attempt's slots (an unbound slot holds its own
@@ -178,7 +171,7 @@ class ReplayProgram(_Generated):
     condition, last to first, replays its sub-trace from its right-hand
     side's instance and matches its left-hand side against the value.
 
-    - `init`: as in `RuleProgram`;
+    - `names` and `init`: as in `RuleProgram`;
     - `rhs(focus)`: the matcher of the right-hand side against the focus:
       a new list of slots, or None;
     - `safe`: the safety domain, whose bindings the trace term records, as
@@ -187,33 +180,21 @@ class ReplayProgram(_Generated):
       its right-hand side from the slots, and the matcher `(value, slots)`
       of its left-hand side against the replayed value, which binds slots
       and tells whether it matched;
-    - `lhs(slots)`: the builder of the left-hand side;
-    - `rhs_ops`, `condition_ops` and `lhs_ops`: the same as ops.
+    - `lhs(slots)`: the builder of the left-hand side.
 
-    It is compiled to ops when it is built, to code when it first replays a
-    step: until then, `rhs` generates the code and `conditions` and `lhs`
-    are None.
+    Its slots are numbered when it is built, and its code generated when
+    it first replays a step: until then, `rhs` generates the code and
+    `conditions` and `lhs` are None.
     """
 
-    __slots__ = (
-        "rule", "init", "safe", "rhs", "conditions", "lhs",
-        "rhs_ops", "condition_ops", "lhs_ops",
-    )
+    __slots__ = ("rule", "names", "init", "safe", "rhs", "conditions", "lhs")
 
     def __init__(self, rule, domain: frozenset[str]):
         self.rule = rule
-        names: list[str] = []
-        slot = _numbering(names)
-        known: set[str] = set()
-        self.rhs_ops = _matcher((rule.rhs,), known, slot)
-        self.safe = tuple((name, slot(name)) for name in sorted(domain))
-        known |= domain
-        self.condition_ops = tuple(
-            (i, _template(c.rhs, slot), _matcher((c.lhs,), known, slot))
-            for i, c in reversed(tuple(enumerate(rule.conditions)))
-        )
-        self.lhs_ops = _template(rule.lhs, slot)
-        self.init = tuple(Var(name) for name in names)
+        met = [_walk(rule.rhs, True), sorted(domain)]
+        for c in reversed(rule.conditions):
+            met += _walk(c.rhs, False), _walk(c.lhs, True)
+        self._number((), chain(*met, _walk(rule.lhs, False)), domain)
         self.rhs = self._first_replay
         self.conditions = self.lhs = None
 
@@ -222,83 +203,19 @@ class ReplayProgram(_Generated):
         return self.rhs(focus)
 
     def _code(self) -> "_Code":
-        code = _Code(self.init)
-        rhs = code.matcher(self.rhs_ops, single=True, into=False, check=False)
+        code = _Code(self.names, self.init)
+        rule = self.rule
         # The slots bound to ground terms: by the rhs, by the trace term,
         # then by each condition's lhs.
-        bound = _binds(self.rhs_ops) | {k for _, k in self.safe}
+        bound: set[int] = set()
+        rhs = code.matcher((rule.rhs,), bound, single=True, into=False, check=False)
+        bound |= {k for _, k in self.safe}
         conditions = []
-        for i, template, program in self.condition_ops:
-            builder = code.builder(template, bound)
-            matcher = code.matcher(program, single=True, into=True, check=False)
+        for i, c in reversed(tuple(enumerate(rule.conditions))):
+            builder, _ = code.builder(c.rhs, bound)
+            matcher = code.matcher((c.lhs,), bound, single=True, into=True, check=False)
             conditions.append(f"({i}, {builder}, {matcher})")
-            bound |= _binds(program)
-        return code.assign(code.builder(self.lhs_ops, bound), conditions, rhs)
-
-
-def _binds(program: tuple) -> set[int]:
-    """The slots a match program binds."""
-    return {operand for _, _, op, operand in program if op == BIND}
-
-
-def _numbering(names: list[str]):
-    """The slot of a variable name: its index in names, where a name met
-    for the first time is appended."""
-    slot_of: dict[str, int] = {}
-
-    def slot(name: str) -> int:
-        k = slot_of.get(name)
-        if k is None:
-            k = slot_of[name] = len(names)
-            names.append(name)
-        return k
-
-    return slot
-
-
-def _matcher(patterns: tuple[Term, ...], known: set[str], slot) -> tuple:
-    """The match program of patterns against the arguments in register 0.
-    A variable in `known` is compared with its slot; any other is bound,
-    and added to `known`."""
-    program = []
-    registers = 1
-    # Arguments right to left, as terms.match visits them, so that a
-    # repeated variable is bound at the occurrence where match binds it.
-    stack = [(p, 0, i) for i, p in enumerate(patterns)]
-    while stack:
-        p, register, i = stack.pop()
-        if p.__class__ is Var:
-            if p.name in known:
-                program.append((register, i, SAME, slot(p.name)))
-            else:
-                known.add(p.name)
-                program.append((register, i, BIND, slot(p.name)))
-        elif p.args and p.ground:
-            program.append((register, i, EQUAL, p))
-        else:
-            program.append((register, i, SYMBOL, p.symbol))
-            stack.extend((a, registers, j) for j, a in enumerate(p.args))
-            registers += 1
-    return tuple(program)
-
-
-def _template(t: Term, slot) -> tuple:
-    ops = []
-    # Terms still to compile, and symbols whose arguments are compiled.
-    stack: list = [t]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is Var:
-            ops.append((SLOT, slot(u.name)))
-        elif u.__class__ is App:
-            if u.ground:
-                ops.append((CONST, u))
-            else:
-                stack.append(u.symbol)
-                stack.extend(reversed(u.args))
-        else:
-            ops.append((BUILD, u))
-    return tuple(ops)
+        return code.assign(code.builder(rule.lhs, bound)[0], conditions, rhs)
 
 
 # A template node nests at most this many calls deep, and reads at most
@@ -312,10 +229,11 @@ _MAX_FLAGS = 8
 class _Code:
     """The source text and globals of one rule's generated functions."""
 
-    __slots__ = ("init", "lines", "env", "refs", "count")
+    __slots__ = ("init", "slots", "lines", "env", "refs", "count")
 
-    def __init__(self, init: tuple[Term, ...]):
+    def __init__(self, names: list[str], init: tuple[Term, ...]):
         self.init = init
+        self.slots = {name: k for k, name in enumerate(names)}
         self.lines: list[str] = []
         self.env: dict[str, object] = {"_assemble": assemble, "_App": App}
         self.refs: dict[int, str] = {}
@@ -336,91 +254,107 @@ class _Code:
         self.lines.extend("    " + line for line in body)
         return name
 
-    def matcher(self, program: tuple, single: bool, into: bool, check: bool) -> str:
-        """A function running the match program. With `single`, it takes the
-        subject itself, else its argument tuple; with `into`, it also takes
-        the slot list, binds slots in it and returns whether it matched,
-        else it returns a new slot list or None; with `check`, it takes the
-        constructor flag."""
+    def matcher(self, patterns: tuple[Term, ...], bound: set[int], single: bool, into: bool, check: bool) -> str:
+        """A function matching the patterns, which binds the slots not in
+        `bound` and adds them to it. With `single`, it takes the subject
+        itself (the one pattern's), else the argument tuple; with `into`, it
+        also takes the slot list, binds slots in it and returns whether it
+        matched, else it returns a new slot list or None; with `check`, it
+        takes the constructor flag."""
         fail = "return False" if into else "return None"
         body: list[str] = []
-        bound: list[int] = []
+        binds: list[int] = []
         registers = 1
-        for register, i, op, operand in program:
-            node = "r0" if single and register == 0 else f"r{register}[{i}]"
-            if op == SYMBOL:
-                k = self.ref(operand)
+        # Arguments right to left, as terms.match visits them, so that a
+        # repeated variable is bound at the occurrence where match binds it.
+        stack = [(p, "r0" if single else f"r0[{i}]") for i, p in enumerate(patterns)]
+        while stack:
+            p, node = stack.pop()
+            if p.__class__ is Var:
+                k = self.slots[p.name]
+                if k in bound:
+                    other = f"v{k}" if k in binds else f"s[{k}]"
+                    body += (f"t = {node}", f"if t is not {other} and t != {other}: {fail}")
+                else:
+                    bound.add(k)
+                    binds.append(k)
+                    body.append(f"v{k} = {node}")
+                    if check:
+                        body.append(f"if c and not v{k}.constructor: {fail}")
+            elif p.args and p.ground:
+                g = self.ref(p)
+                body += (f"t = {node}", f"if t is not {g} and t != {g}: {fail}")
+            else:
+                g = self.ref(p.symbol)
                 if node != "r0":
                     body.append(f"t = {node}")
                     node = "t"
                 body += (
                     f"y = {node}.symbol",
-                    f"if y is not {k} and (y.name != {k}.name or y.arity != {k}.arity): {fail}",
+                    f"if y is not {g} and (y.name != {g}.name or y.arity != {g}.arity): {fail}",
                 )
-                if operand.arity:
+                if p.args:
                     body.append(f"r{registers} = {node}.args")
+                    stack.extend((a, f"r{registers}[{j}]") for j, a in enumerate(p.args))
                 registers += 1
-            elif op == BIND:
-                body.append(f"v{operand} = {node}")
-                if check:
-                    body.append(f"if c and not v{operand}.constructor: {fail}")
-                bound.append(operand)
-            elif op == SAME:
-                other = f"v{operand}" if operand in bound else f"s[{operand}]"
-                body += (f"t = {node}", f"if t is not {other} and t != {other}: {fail}")
-            else:
-                k = self.ref(operand)
-                body += (f"t = {node}", f"if t is not {k} and t != {k}: {fail}")
         if into:
-            body += (f"s[{k}] = v{k}" for k in bound)
+            body += (f"s[{k}] = v{k}" for k in binds)
             body.append("return True")
         else:
-            items = (f"v{k}" if k in bound else self.ref(t) for k, t in enumerate(self.init))
+            items = (f"v{k}" if k in binds else self.ref(t) for k, t in enumerate(self.init))
             body.append("return [" + ", ".join(items) + "]")
         params = "r0" + (", s" if into else "") + (", c" if check else "")
         return self.function(params, body)
 
-    def builder(self, template: tuple, bound: frozenset[int]) -> str:
-        """A function of the slot list that instantiates the template.
-        `bound`: the slots that hold ground terms when it runs."""
+    def builder(self, template: Term, bound: set[int]) -> tuple[str, bool]:
+        """A function of the slot list that instantiates the template, and
+        whether it reads only slots in `bound`, which hold ground terms when
+        it runs."""
         body: list[str] = []
         read: set[int] = set()
-        # Per term on the stack: its expression, its nesting, and the
-        # names whose `constructor` flags make its own (None: its flags are
-        # worked out at run time; False: it is not a constructor term).
-        stack: list[tuple[str, int, list[str] | None | bool]] = []
-        for op, operand in template:
-            if op == SLOT:
-                read.add(operand)
-                name = f"x{operand}"
-                stack.append((name, 0, [name] if operand in bound else None))
-            elif op == CONST:
-                stack.append((self.ref(operand), 0, [] if operand.constructor else False))
+        # Per term built: its expression, its nesting, and the names whose
+        # `constructor` flags make its own (None: its flags are worked out
+        # at run time; False: it is not a constructor term).
+        built: list[tuple[str, int, list[str] | None | bool]] = []
+        # Terms still to build, and symbols whose arguments are built.
+        stack: list = [template]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is Var:
+                k = self.slots[u.name]
+                read.add(k)
+                built.append((f"x{k}", 0, [f"x{k}"] if k in bound else None))
+            elif u.__class__ is App:
+                if u.ground:
+                    built.append((self.ref(u), 0, [] if u.constructor else False))
+                else:
+                    stack.append(u.symbol)
+                    stack.extend(reversed(u.args))
             else:
-                n = operand.arity
-                items = stack[-n:]
-                del stack[-n:]
+                n = u.arity
+                items = built[-n:]
+                del built[-n:]
                 args = "(" + ", ".join(e for e, _, _ in items) + ("," if n == 1 else "") + ")"
                 nesting = 1 + max(d for _, d, _ in items)
-                k = self.ref(operand)
+                g = self.ref(u)
                 if any(f is None for _, _, f in items):
-                    expr, flags = f"_App({k}, {args})", None
-                elif operand.kind == DEFINED or any(f is False for _, _, f in items):
-                    expr, flags = f"_assemble({k}, {args}, True, False)", False
+                    expr, flags = f"_App({g}, {args})", None
+                elif u.kind == DEFINED or any(f is False for _, _, f in items):
+                    expr, flags = f"_assemble({g}, {args}, True, False)", False
                 else:
                     flags = list(dict.fromkeys(name for _, _, f in items for name in f))
-                    test = " and ".join(f"{name}.constructor" for name in flags) or "True"
-                    expr = f"_assemble({k}, {args}, True, {test})"
+                    test = " and ".join(f"{name}.constructor" for name in flags)
+                    expr = f"_assemble({g}, {args}, True, {test})"
                 if nesting >= _MAX_NESTING or (flags and len(flags) >= _MAX_FLAGS):
                     name = f"n{len(body)}"
                     body.append(f"{name} = {expr}")
                     expr, nesting = name, 0
                     if flags:
                         flags = [name]
-                stack.append((expr, nesting, flags))
-        [(expr, _, _)] = stack
+                built.append((expr, nesting, flags))
+        [(expr, _, _)] = built
         reads = [f"x{k} = s[{k}]" for k in sorted(read)]
-        return self.function("s", reads + body + [f"return {expr}"])
+        return self.function("s", reads + body + [f"return {expr}"]), read <= bound
 
     def assign(self, lhs: str, conditions: list[str], rhs: str) -> "_Code":
         """The code, with `lhs`, `conditions` (a tuple of the given

@@ -31,9 +31,6 @@ from .terms import (
     is_basic_term,
     is_constructor_term,
     is_ground,
-    positions,
-    replace,
-    subterm,
     term_vars,
     unify,
     vars_of,
@@ -82,11 +79,20 @@ def inverse_name(name: str) -> str:
 # The four pcDCTRS-producing rewrites on rules
 
 
-def _innermost_basic_position(t: Term) -> tuple[int, ...] | None:
-    for p in positions(t):
-        if is_basic_term(subterm(t, p)):
-            return p
-    return None
+def _split_basic(t: Term, w: Var) -> tuple[Term, Term]:
+    """The innermost-leftmost basic subterm of t, which is not a constructor
+    term, and t with w in its place, a copy of the path to it. Basic
+    subterms never nest, so one descent finds it: at each level, the first
+    argument that is not a constructor term holds it."""
+    path: list[tuple[App, int]] = []
+    while not is_basic_term(t):
+        i = next(i for i, a in enumerate(t.args) if not is_constructor_term(a))
+        path.append((t, i))
+        t = t.args[i]
+    u: Term = w
+    for node, i in reversed(path):
+        u = App(node.symbol, node.args[:i] + (u,) + node.args[i + 1 :])
+    return t, u
 
 
 def flatten_rhs(rule: Rule, fresh: FreshNames | None = None) -> Rule:
@@ -94,17 +100,10 @@ def flatten_rhs(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     variable bound through a new last condition."""
     if is_constructor_term(rule.rhs):
         raise NotApplicable(f"rule {rule.label}: right-hand side is a constructor term")
-    q = _innermost_basic_position(rule.rhs)
-    if q is None:
-        raise NotApplicable(f"rule {rule.label}: right-hand side has no basic subterm")
     fresh = fresh or FreshNames(_rule_vars(rule))
     w = Var(fresh.next())
-    return Rule(
-        rule.label,
-        rule.lhs,
-        replace(rule.rhs, q, w),
-        (*rule.conditions, Condition(subterm(rule.rhs, q), w)),
-    )
+    basic, rhs = _split_basic(rule.rhs, w)
+    return Rule(rule.label, rule.lhs, rhs, (*rule.conditions, Condition(basic, w)))
 
 
 def flatten_condition(rule: Rule, fresh: FreshNames | None = None) -> Rule:
@@ -113,15 +112,13 @@ def flatten_condition(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     for i, c in enumerate(rule.conditions):
         if is_constructor_term(c.lhs) or is_basic_term(c.lhs):
             continue
-        q = _innermost_basic_position(c.lhs)
-        if q is None:
-            continue
         fresh = fresh or FreshNames(_rule_vars(rule))
         w = Var(fresh.next())
+        basic, lhs = _split_basic(c.lhs, w)
         new_conditions = (
             *rule.conditions[:i],
-            Condition(subterm(c.lhs, q), w),
-            Condition(replace(c.lhs, q, w), c.rhs),
+            Condition(basic, w),
+            Condition(lhs, c.rhs),
             *rule.conditions[i + 1 :],
         )
         return Rule(rule.label, rule.lhs, rule.rhs, new_conditions)

@@ -37,6 +37,7 @@ from revrw import (
     flatten_rhs,
     format_position,
     forward_successors,
+    is_basic_term,
     is_safe,
     format_term,
     injectivize,
@@ -57,7 +58,6 @@ from revrw import (
     term_vars,
     validate,
 )
-from revrw.programs import BUILD, BIND, CONST, SAME, SLOT, SYMBOL
 from revrw.reversible import TraceTerm, witness_trace_term
 from revrw.rewrite import STRATEGIES
 from revrw.systems import TermParser, TokenStream, tokenize
@@ -494,6 +494,12 @@ def ref_forward_run(
 # tested against. Input preconditions are not checked here.
 
 
+def ref_basic_position(t: Term) -> Position:
+    """The innermost-leftmost basic position of t: the first in post-order
+    whose subterm, read from the root, is basic."""
+    return next(p for p in positions(t) if is_basic_term(subterm(t, p)))
+
+
 def ref_to_pcdctrs(system: RewriteSystem):
     """(pcDCTRS, [(stage name, stage system, changes), ...])."""
     taken: set[str] = set()
@@ -751,47 +757,3 @@ def ref_view_update(system, view_args, new_view, bounds=Bounds(), function=None,
             f"stuck at {format_term(rebuilt)}"
         )
     return rebuilt.args
-
-
-# ---------------------------------------------------------------------------
-# Reference interpreters of the ops that `revrw.programs` compiles a rule to
-# (see its module docstring); the generated functions must agree with them.
-
-
-def run_ops(program: tuple, registers: list, slots: list[Term], constructor: bool) -> bool:
-    """Run a match program from the given registers, binding slots. With
-    `constructor`, a slot may only be bound to a constructor term."""
-    for register, i, op, operand in program:
-        t = registers[register][i]
-        if op == SYMBOL:
-            s = t.symbol
-            if s is not operand and (s.name != operand.name or s.arity != operand.arity):
-                return False
-            registers.append(t.args)
-        elif op == BIND:
-            if constructor and not t.constructor:
-                return False
-            slots[operand] = t
-        elif op == SAME:
-            bound = slots[operand]
-            if t is not bound and t != bound:
-                return False
-        elif t != operand:
-            return False
-    return True
-
-
-def build_ops(template: tuple, slots: list[Term]) -> Term:
-    """The template instantiated with the slots."""
-    stack: list[Term] = []
-    for op, operand in template:
-        if op == SLOT:
-            stack.append(slots[operand])
-        elif op == CONST:
-            stack.append(operand)
-        else:
-            n = operand.arity
-            args = tuple(stack[-n:])
-            del stack[-n:]
-            stack.append(App(operand, args))
-    return stack[0]

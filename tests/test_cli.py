@@ -374,3 +374,35 @@ def test_backward_of_a_deeply_nested_hand_written_trace(capsys, tmp_path):
     code, out, err = run(capsys, "backward", pc, "--term", nat, "--trace-file", path)
     assert code == 0 and "Traceback" not in err
     assert out == f"add({nat},0)\n"
+
+
+@pytest.mark.parametrize("name", ["double", "firstfail", "needvars", "simplify", "view"])
+def test_flatten_improved_needs_no_constructor_origin(capsys, name):
+    # Flattening never injectivizes, so --improved, whose injectivization
+    # needs a constructor TRS as its origin, changes nothing.
+    path = CORPUS_DIR / f"{name}.trs"
+    code, out, err = run(capsys, "flatten", path, "--improved")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "flatten", path)
+    code, _, err = run(capsys, "injectivize", path, "--improved")
+    assert code == 1 and err == "revrw: PreconditionViolated: origin is not a constructor TRS\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["flatten"], ["pipeline"], ["injectivize"], ["invert"], ["injectivize", "--improved"]]
+)
+def test_transforms_of_a_rule_term_past_the_recursion_limit(capsys, tmp_path, command):
+    # Flattening finds each basic subterm in one descent, without recursion.
+    nat = "s(" * 3000 + "0" + ")" * 3000
+    path = tmp_path / "deep.trs"
+    path.write_text(f"(VAR x y)(RULES f(x) -> g({nat},h(x)) g(x,y) -> y h(x) -> x)", encoding="utf-8")
+    try:
+        code, out, err = run(capsys, command[0], path, *command[1:])
+    except RecursionError:
+        # Fail outside the handler: reporting a traceback this deep takes
+        # pytest minutes.
+        code = out = err = "RecursionError"
+    assert code == 0 and err == ""
+    if command == ["flatten"]:
+        flat = parse_system(out, allow_reserved=True)
+        assert flat.is_pcdctrs and nat in out

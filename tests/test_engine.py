@@ -49,25 +49,24 @@ from revrw import (
     parse_term,
     positions,
     replace,
+    safety_domain,
     step,
     to_pcdctrs,
     view_update,
 )
-from revrw.programs import RuleProgram
+from revrw.programs import ReplayProgram, RuleProgram
 from revrw.rewrite import STRATEGIES, normalize_traced
 from revrw.terms import CONSTRUCTOR, DEFINED
 
 from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     SEARCH_BOUNDS,
-    build_ops,
     ref_backward_run,
     ref_first_step,
     ref_forward_run,
     ref_normalize_traced,
     ref_step,
     ref_view_update,
-    run_ops,
     same_term,
     view_sources,
 )
@@ -332,7 +331,7 @@ def _terms(leaves, symbols):
     return st.recursive(leaves, apply, max_leaves=8)
 
 
-# Subjects also use the pattern symbols of the other kind (the SYMBOL op's
+# Subjects also use the pattern symbols of the other kind (a matcher's
 # identity test fails, its name and arity test holds) and a symbol whose
 # name is a pattern symbol's but whose arity is not.
 ground_subterms = _terms(
@@ -340,7 +339,8 @@ ground_subterms = _terms(
     INNER + tuple(map(_flip, INNER)) + (Symbol("c", 1),),
 )
 LHS_VARS = [Var(n) for n in "xyz"]
-# Ground subpatterns compile to EQUAL ops, repeated variables to SAME ops.
+# Ground subpatterns compile to whole-term comparisons, and repeated
+# variables to comparisons with their slot.
 lhs_patterns = _terms(st.sampled_from([App(s) for s in LEAVES] + LHS_VARS), INNER)
 # Condition terms also use variables the left-hand side does not bind.
 condition_patterns = _terms(
@@ -393,16 +393,6 @@ def _same_build(got: Term, want: Term) -> bool:
     return _shape(got) == _shape(want) and _flags(got) == _flags(want)
 
 
-def _match_program(program: RuleProgram, subject: App, constructor: bool):
-    """The slots of the generated lhs matcher, after checking them against
-    the reference interpreter's."""
-    slots = program.lhs(subject.args, constructor)
-    want = list(program.init)
-    ok = run_ops(program.lhs_ops, [subject.args], want, constructor)
-    assert (slots is not None) == ok and (not ok or slots == want), (program.source, subject)
-    return slots
-
-
 @examples(200)
 @given(lhs_patterns, lhs_patterns, condition_patterns, st.data())
 def test_compiled_lhs_and_rhs_agree_with_match_and_apply(p1, p2, rhs, data):
@@ -410,16 +400,14 @@ def test_compiled_lhs_and_rhs_agree_with_match_and_apply(p1, p2, rhs, data):
     subject = _instance(data.draw, lhs, "xyz")
     program = RuleProgram(Rule("t", lhs, rhs))
     want = match(lhs, subject)
-    slots = _match_program(program, subject, False)
+    slots = program.lhs(subject.args, False)
     assert (slots is None) == (want is None), (lhs, subject)
     if want is not None:
         assert program.subst(slots) == want
-        built = program.rhs(slots)
-        assert _same_build(built, want.apply(rhs))
-        assert _same_build(built, build_ops(program.rhs_ops, slots))
+        assert _same_build(program.rhs(slots), want.apply(rhs))
     # The constructor strategy: a match that binds a variable to a term in
     # which a defined symbol occurs fails.
-    slots = _match_program(program, subject, True)
+    slots = program.lhs(subject.args, True)
     assert (slots is not None) == (want is not None and want.is_constructor)
 
 
@@ -432,38 +420,61 @@ def test_condition_programs_agree_with_match_of_the_instance(p1, clhs, crhs, rhs
     if sigma is None:
         return
     program = RuleProgram(Rule("t", lhs, rhs, (Condition(clhs, crhs),)))
-    slots = _match_program(program, subject, False)
+    slots = program.lhs(subject.args, False)
     builder, ground, matcher = program.conditions[0]
-    template, _, rhs_program = program.condition_ops[0]
     instance = sigma.apply(clhs)
     # Variables the lhs left unbound stay variables, as in the
     # PreconditionViolated message.
     assert _same_build(builder(slots), instance)
-    assert _same_build(builder(slots), build_ops(template, slots))
     assert ground == (instance.__class__ is App and instance.ground)
     # The normal form: an instance of the condition rhs (bound variables
     # included), or one that differs from it somewhere.
     value = _instance(data.draw, sigma.apply(crhs), "xyzuv")
     theta = match(sigma.apply(crhs), value)
-    reference = list(slots)
-    ok = run_ops(rhs_program, [(value,)], reference, False)
-    assert matcher(value, slots, False) == ok == (theta is not None), (crhs, value)
+    assert matcher(value, slots, False) == (theta is not None), (crhs, value)
     if theta is not None:
-        assert slots == reference
         both = sigma.union(theta)
         assert program.subst(slots) == both
         assert _same_build(program.rhs(slots), both.apply(rhs))
 
 
+@examples(150)
+@given(lhs_patterns, lhs_patterns, condition_patterns, condition_patterns, condition_patterns, st.data())
+def test_replay_programs_agree_with_match_and_apply(p1, p2, clhs, crhs, rhs, data):
+    # A step of the rule under sigma, undone: the rhs matcher against the
+    # result (or a term near it), the safety domain filled from sigma, the
+    # condition replayed from its rhs's instance, and the lhs rebuilt.
+    lhs = App(G, (p1, p2))
+    rule = Rule("t", lhs, rhs, (Condition(clhs, crhs),))
+    sigma = Subst({n: data.draw(ground_subterms) for n in "xyzuv"})
+    replay = ReplayProgram(rule, safety_domain(rule))
+    names = [v.name for v in replay.init]
+    focus = data.draw(near(sigma.apply(rhs)))
+    want = match(rhs, focus)
+    slots = replay.rhs(focus)
+    assert (slots is None) == (want is None), (rhs, focus)
+    if want is not None:
+        assert Subst(zip(names, slots)) == want
+    slots = replay.rhs(sigma.apply(rhs))
+    for name, k in replay.safe:
+        slots[k] = sigma.get(name)
+    [(i, builder, matcher)] = replay.conditions
+    assert i == 0
+    assert _same_build(builder(slots), sigma.apply(crhs))
+    assert matcher(sigma.apply(clhs), slots)
+    assert Subst(zip(names, slots)) == sigma.restrict(names)
+    assert _same_build(replay.lhs(slots), sigma.apply(lhs))
+
+
 def test_rule_compiled_against_given_bindings():
     # What solve_conditions compiles: the given bindings to ground terms are
-    # bound (SAME ops), one to a non-ground term is not.
+    # bound (compared, not bound again), one to a non-ground term is not.
     zero = App(LEAVES[0])
     x, y, u = Var("x"), Var("y"), Var("u")
     c = INNER[0]
     rule = Rule("t", App(G, (x, y)), u, (Condition(App(INNER[2], (y,)), App(c, (x, u))),))
     program = RuleProgram(rule, Subst({"x": zero, "y": App(INNER[1], (Var("w"),))}))
-    assert program.lhs is None and program.lhs_ops == () and program.names[:2] == ["x", "y"]
+    assert program.lhs is None and program.names[:2] == ["x", "y"]
     builder, ground, matcher = program.conditions[0]
     assert not ground
     slots = list(program.init)
@@ -533,8 +544,8 @@ def test_generated_code_holds_no_input_name(names):
         for name in names.values():
             if not keyword.iskeyword(name) and name not in ("c", "s", "t", "y"):
                 assert name not in source, (name, source)
-    # And the code runs these rules as the reference engine and the ops'
-    # interpreters do.
+    # And the code runs these rules as the reference engine, terms.match and
+    # Subst.apply do.
     for text in NAMED_TERMS:
         term = parse_term(text.format(**names), system)
         for strategy in STRATEGIES:
@@ -550,13 +561,11 @@ def test_generated_code_holds_no_input_name(names):
                 if node.symbol != rule.lhs.symbol:
                     continue
                 want = match(rule.lhs, node)
-                slots = _match_program(program, node, False)
+                slots = program.lhs(node.args, False)
                 assert (slots is None) == (want is None)
                 if slots is not None:
                     assert program.subst(slots) == want
-                    built = program.rhs(slots)
-                    assert _same_build(built, want.apply(rule.rhs))
-                    assert _same_build(built, build_ops(program.rhs_ops, slots))
+                    assert _same_build(program.rhs(slots), want.apply(rule.rhs))
 
 
 def test_generated_builders_take_deep_and_wide_rules():

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from revrw import (
+    App,
+    Condition,
     NotApplicable,
     Pair,
     PreconditionViolated,
+    Rule,
     ShapeViolated,
     Subst,
+    Symbol,
     TraceTerm,
     UnsafeTrace,
     UpdateFailed,
@@ -22,6 +27,8 @@ from revrw import (
     injectivize,
     injectivize_improved,
     invert,
+    is_basic_term,
+    is_constructor_term,
     normalize,
     parse_system,
     parse_term,
@@ -29,6 +36,8 @@ from revrw import (
     range_disjoint,
     remove_fail,
     remove_unify,
+    replace,
+    subterm,
     to_pcdctrs,
     unify,
     validate,
@@ -36,10 +45,16 @@ from revrw import (
 )
 from revrw import transform
 from revrw.systems import RewriteSystem
-from revrw.terms import Var
+from revrw.terms import DEFINED, Var
 
 from .conftest import CORPUS_DIR, load
-from .oracles import all_normal_forms, basic_terms, ref_to_pcdctrs, systems_isomorphic
+from .oracles import (
+    all_normal_forms,
+    basic_terms,
+    ref_basic_position,
+    ref_to_pcdctrs,
+    systems_isomorphic,
+)
 
 
 def expect(text: str) -> RewriteSystem:
@@ -93,6 +108,54 @@ def test_flatten_condition_two_deep_needs_two_applications():
     assert repr(twice) == "f(x) -> y | c(x) == _w1, b(_w1) == _w2, a(_w2) == y [b1]"
     pc, _ = to_pcdctrs(system)
     assert validate(pc, "pcdctrs").ok
+
+
+FLAT_SYMBOLS = (
+    Symbol("f", 2, DEFINED), Symbol("g", 1, DEFINED), Symbol("c", 2), Symbol("s", 1),
+)
+FLAT_LEAVES = (Var("x"), Var("y"), App(Symbol("0", 0)), App(Symbol("k", 0, DEFINED)))
+
+
+def _random_term(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(FLAT_LEAVES)
+    sym = rng.choice(FLAT_SYMBOLS)
+    return App(sym, tuple(_random_term(rng, depth - 1) for _ in range(sym.arity)))
+
+
+def test_flattening_splits_at_the_rescanned_basic_position():
+    rng = random.Random(5)
+    lhs, w, y = App(FLAT_SYMBOLS[0], (Var("x"), Var("y"))), Var("_w1"), Var("y")
+    checked = 0
+    while checked < 300:
+        t = _random_term(rng, 6)
+        if is_constructor_term(t):
+            continue
+        q = ref_basic_position(t)
+        got = flatten_rhs(Rule("r", lhs, t))
+        assert got == Rule("r", lhs, replace(t, q, w), (Condition(subterm(t, q), w),)), t
+        if not is_basic_term(t):
+            got = flatten_condition(Rule("r", lhs, y, (Condition(t, y),)))
+            want = (Condition(subterm(t, q), w), Condition(replace(t, q, w), y))
+            assert got == Rule("r", lhs, y, want), t
+        checked += 1
+
+
+def test_to_pcdctrs_time_grows_linearly_in_rule_depth():
+    # Each flattening step descends once to the basic subterm; a scan of all
+    # positions, each read from the root, grew about 60x from 200 to 800.
+    def best(n: int) -> float:
+        nat = "s(" * n + "0" + ")" * n
+        system = parse_system(f"(VAR x y)(RULES f(x) -> g({nat},h(x)) g(x,y) -> y h(x) -> x)")
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            to_pcdctrs(system)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best(200), best(800)
+    assert large <= 6 * small, (small, large)
 
 
 # --- remove_unify / remove_fail -------------------------------------------------
