@@ -1,12 +1,19 @@
 """Rules compiled to Python functions over variable slots (Graf, Term
 Indexing, LNCS 1053, 1996; Kamperman and Walters, ARM, 1993).
 
+One class, `RuleProgram`, compiles a rule l -> r <= s1 ->> t1, ..., sn ->>
+tn read forwards, to rewrite, or read backwards, as the paper's inversion
+reads it, to undo a step from its result: r -> l <= tn ->> sn, ..., t1 ->>
+s1. Either reading is run the same way: match its left-hand side against
+the subject, then for each condition build its left-hand side and match its
+right-hand side against the value, then build its right-hand side. Read
+backwards, a condition's value is its sub-trace played back, and the trace
+term's recorded bindings fill the safety domain after the match.
+
 When a program is built, its rule's variables are numbered into slots in
-one walk over the rule's terms, in the order its code meets them: a
-forward program's given bindings or left-hand side, then each condition's
-left- and right-hand side, then the right-hand side and the safety
-domain's names; a replay program's right-hand side and the safety domain's
-names, then each condition, last to first, and the left-hand side. A
+one walk over the terms it reads, in the order its code meets them: the
+given bindings or the left-hand side, then each condition's left- and
+right-hand side, then the right-hand side and the safety domain's names. A
 pattern is walked as `terms.match` visits it, arguments right to left; a
 template left to right. A rule attempt fills a list with one slot per
 variable; a slot that was never bound holds `Var(name)`, so it
@@ -17,16 +24,17 @@ The code is the source text of Python functions, generated from the rule's
 terms and compiled with `compile` and `exec`, as `collections.namedtuple`
 builds its methods (Moreau, Ringeissen and Vittek, A pattern matching
 compiler for multiple target languages, CC 2003). One set holds the slots
-bound to ground terms so far, as the code runs the rule: a program's given
-bindings to ground terms, or a replay's safety domain, and each slot a
-matcher binds.
+bound to ground terms so far, as the code runs the rule: the given bindings
+to ground terms, each slot a matcher binds, and, read backwards, the safety
+domain's once the left-hand side has matched.
 
 - A pattern becomes a matcher of straight-line tests over locals, in the
   order `terms.match` visits it. A symbol is tested by identity or else by
   name and arity, as `Symbol` equality has it, and its arguments read into
-  a local; a ground subterm with arguments is compared whole; a variable
-  whose slot is bound is compared with it, and any other is bound. A
-  left-hand side's matcher builds its slot list only when it succeeds.
+  a local; a ground subterm with arguments is compared whole, except at the
+  root of a left-hand side, whose symbol is tested; a variable whose slot
+  is bound is compared with it, and any other is bound. A left-hand side's
+  matcher builds its slot list only when it succeeds.
 - A template becomes one nested expression of `terms.assemble` calls, whose
   flags are worked out when the code is generated, except for the
   `constructor` flags of the bound slots' terms, which the expression
@@ -49,32 +57,9 @@ generated on import. The tests compare the generated code with
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .terms import DEFINED, EMPTY_SUBST, App, Subst, Term, Var, assemble
-
-
-class _Generated:
-    """A rule's `lhs`, `conditions` and `rhs` as generated code, made on
-    first use by `_load` from the text `_code` writes; `source` is that
-    text."""
-
-    __slots__ = ()
-
-    def _number(self, given: Sequence[tuple[str, Term]], met: Iterable[str], domain: frozenset[str]) -> None:
-        """Set `names`, `init` and `safe`: the names of the given bindings
-        first, then the names met, then those of the safety domain not met."""
-        self.names = list(dict.fromkeys([*(name for name, _ in given), *met, *sorted(domain)]))
-        self.init = tuple(t for _, t in given) + tuple(map(Var, self.names[len(given):]))
-        self.safe = tuple((name, self.names.index(name)) for name in sorted(domain))
-
-    def _load(self) -> None:
-        namespace = self._code().compile()
-        self.lhs, self.conditions, self.rhs = namespace["lhs"], namespace["conditions"], namespace["rhs"]
-
-    @property
-    def source(self) -> str:
-        return self._code().source()
 
 
 def _walk(t: Term, pattern: bool) -> Iterator[str]:
@@ -89,24 +74,25 @@ def _walk(t: Term, pattern: bool) -> Iterator[str]:
             stack.extend(u.args if pattern else reversed(u.args))
 
 
-class RuleProgram(_Generated):
-    """One rule compiled once: its slots numbered when it is built, its code
-    generated on its first attempt.
+class RuleProgram:
+    """One rule compiled once, read forwards or (with `backward`) backwards:
+    its slots numbered when it is built, its code generated on its first
+    attempt. The sides named here are those of the rule as it is read.
 
     - `names`: the rule's variables, one per slot; `init`, the slots'
       contents before an attempt;
-    - `lhs(args, constructor)`: the matcher of the left-hand side against
-      the subject's arguments: a new list of slots, or None (None itself
-      when compiled against given bindings); `arity`, the arity of the
-      left-hand side's root;
+    - `lhs(subject, constructor)`: the matcher of the left-hand side against
+      the whole subject: a new list of slots, or None (None itself when
+      compiled against given bindings);
     - `conditions`: per condition, the builder of its left-hand side from
       the slots, whether that is ground given the slots bound before it (a
       deterministic system needs it to be), and the matcher
       `(value, slots, constructor)` of its right-hand side against the
-      normal form, which binds slots and tells whether it matched;
+      value, which binds slots and tells whether it matched;
     - `rhs(slots)`: the builder of the right-hand side;
     - `safe`: the safety domain it is given (the variables a trace term
-      records), as (name, slot) pairs by name.
+      records), as (name, slot) pairs by name. Read backwards, the caller
+      fills these slots after the match.
 
     Compiled against given bindings, it binds those to ground terms; any
     other keeps its term, and reads as unbound. With `constructor`, a
@@ -114,15 +100,21 @@ class RuleProgram(_Generated):
     attempt, `lhs` generates the code and `conditions` and `rhs` are None.
     """
 
-    __slots__ = ("rule", "arity", "names", "init", "safe", "lhs", "conditions", "rhs")
+    __slots__ = ("rule", "backward", "names", "init", "safe", "lhs", "conditions", "rhs")
 
-    def __init__(self, rule, given: Subst | None = None, domain: frozenset[str] = frozenset()):
+    def __init__(
+        self, rule, given: Subst | None = None, domain: frozenset[str] = frozenset(), backward: bool = False
+    ):
         self.rule = rule
-        self.arity = rule.lhs.symbol.arity
-        met = [_walk(rule.lhs, True)] if given is None else []
-        for c in rule.conditions:
-            met += _walk(c.lhs, False), _walk(c.rhs, True)
-        self._number(() if given is None else given.items(), chain(*met, _walk(rule.rhs, False)), domain)
+        self.backward = backward
+        lhs, conditions, rhs = self._read()
+        given_items = () if given is None else given.items()
+        met = [_walk(lhs, True)] if given is None else [(name for name, _ in given_items)]
+        for s, t in conditions:
+            met += _walk(s, False), _walk(t, True)
+        self.names = list(dict.fromkeys(chain(*met, _walk(rhs, False), sorted(domain))))
+        self.init = tuple(t for _, t in given_items) + tuple(map(Var, self.names[len(given_items):]))
+        self.safe = tuple((name, self.names.index(name)) for name in sorted(domain))
         self.conditions = self.rhs = None
         if given is None:
             self.lhs = self._first_attempt
@@ -130,25 +122,40 @@ class RuleProgram(_Generated):
             self.lhs = None
             self._load()
 
-    def _first_attempt(self, args: tuple[Term, ...], constructor: bool) -> list[Term] | None:
+    def _read(self) -> tuple[Term, list[tuple[Term, Term]], Term]:
+        """The rule as read: its lhs, its conditions' sides, its rhs."""
+        rule = self.rule
+        if self.backward:
+            return rule.rhs, [(c.rhs, c.lhs) for c in reversed(rule.conditions)], rule.lhs
+        return rule.lhs, [(c.lhs, c.rhs) for c in rule.conditions], rule.rhs
+
+    def _first_attempt(self, subject: Term, constructor: bool) -> list[Term] | None:
         self._load()
-        return self.lhs(args, constructor)
+        return self.lhs(subject, constructor)
+
+    def _load(self) -> None:
+        namespace = self._code().compile()
+        self.lhs, self.conditions, self.rhs = namespace["lhs"], namespace["conditions"], namespace["rhs"]
+
+    @property
+    def source(self) -> str:
+        return self._code().source()
 
     def _code(self) -> "_Code":
         code = _Code(self.names, self.init)
-        rule = self.rule
+        lhs, conditions, rhs = self._read()
         # The slots bound to ground terms: given ones, then those each
-        # matcher binds.
+        # matcher binds, and read backwards, the safety domain's once the
+        # lhs has matched.
         bound = {k for k, t in enumerate(self.init) if t.__class__ is App and t.ground}
-        lhs = "None"
-        if self.lhs is not None:
-            lhs = code.matcher(rule.lhs.args, bound, single=False, into=False, check=True)
-        conditions = []
-        for c in rule.conditions:
-            builder, ground = code.builder(c.lhs, bound)
-            matcher = code.matcher((c.rhs,), bound, single=True, into=True, check=True)
-            conditions.append(f"({builder}, {ground}, {matcher})")
-        return code.assign(lhs, conditions, code.builder(rule.rhs, bound)[0])
+        matcher = "None" if self.lhs is None else code.matcher(lhs, bound, into=False)
+        if self.backward:
+            bound.update(k for _, k in self.safe)
+        built = []
+        for s, t in conditions:
+            builder, ground = code.builder(s, bound)
+            built.append(f"({builder}, {ground}, {code.matcher(t, bound, into=True)})")
+        return code.assign(matcher, built, code.builder(rhs, bound)[0])
 
     def subst(self, slots: list[Term]) -> Subst:
         """The bindings of an attempt's slots (an unbound slot holds its own
@@ -161,61 +168,6 @@ class RuleProgram(_Generated):
         if not self.safe:
             return EMPTY_SUBST
         return Subst({name: slots[k] for name, k in self.safe})
-
-
-class ReplayProgram(_Generated):
-    """One rule compiled once for backward playback, which undoes a step
-    from its result: the rule's label picks it, matching the right-hand
-    side against the focus binds the right-hand side's variables, the
-    trace term's recorded bindings fill the safety domain, and each
-    condition, last to first, replays its sub-trace from its right-hand
-    side's instance and matches its left-hand side against the value.
-
-    - `names` and `init`: as in `RuleProgram`;
-    - `rhs(focus)`: the matcher of the right-hand side against the focus:
-      a new list of slots, or None;
-    - `safe`: the safety domain, whose bindings the trace term records, as
-      (name, slot) pairs by name;
-    - `conditions`: last to first, the condition's index, the builder of
-      its right-hand side from the slots, and the matcher `(value, slots)`
-      of its left-hand side against the replayed value, which binds slots
-      and tells whether it matched;
-    - `lhs(slots)`: the builder of the left-hand side.
-
-    Its slots are numbered when it is built, and its code generated when
-    it first replays a step: until then, `rhs` generates the code and
-    `conditions` and `lhs` are None.
-    """
-
-    __slots__ = ("rule", "names", "init", "safe", "rhs", "conditions", "lhs")
-
-    def __init__(self, rule, domain: frozenset[str]):
-        self.rule = rule
-        met = [_walk(rule.rhs, True), sorted(domain)]
-        for c in reversed(rule.conditions):
-            met += _walk(c.rhs, False), _walk(c.lhs, True)
-        self._number((), chain(*met, _walk(rule.lhs, False)), domain)
-        self.rhs = self._first_replay
-        self.conditions = self.lhs = None
-
-    def _first_replay(self, focus: App) -> list[Term] | None:
-        self._load()
-        return self.rhs(focus)
-
-    def _code(self) -> "_Code":
-        code = _Code(self.names, self.init)
-        rule = self.rule
-        # The slots bound to ground terms: by the rhs, by the trace term,
-        # then by each condition's lhs.
-        bound: set[int] = set()
-        rhs = code.matcher((rule.rhs,), bound, single=True, into=False, check=False)
-        bound |= {k for _, k in self.safe}
-        conditions = []
-        for i, c in reversed(tuple(enumerate(rule.conditions))):
-            builder, _ = code.builder(c.rhs, bound)
-            matcher = code.matcher((c.lhs,), bound, single=True, into=True, check=False)
-            conditions.append(f"({i}, {builder}, {matcher})")
-        return code.assign(code.builder(rule.lhs, bound)[0], conditions, rhs)
 
 
 # A template node nests at most this many calls deep, and reads at most
@@ -254,20 +206,19 @@ class _Code:
         self.lines.extend("    " + line for line in body)
         return name
 
-    def matcher(self, patterns: tuple[Term, ...], bound: set[int], single: bool, into: bool, check: bool) -> str:
-        """A function matching the patterns, which binds the slots not in
-        `bound` and adds them to it. With `single`, it takes the subject
-        itself (the one pattern's), else the argument tuple; with `into`, it
-        also takes the slot list, binds slots in it and returns whether it
-        matched, else it returns a new slot list or None; with `check`, it
-        takes the constructor flag."""
+    def matcher(self, pattern: Term, bound: set[int], into: bool) -> str:
+        """A function matching the pattern against a subject, which binds the
+        slots not in `bound` and adds them to it. It takes the subject, then,
+        with `into`, the slot list, which it binds slots in, returning
+        whether it matched (else it returns a new slot list or None), and
+        last the constructor flag."""
         fail = "return False" if into else "return None"
         body: list[str] = []
         binds: list[int] = []
         registers = 1
         # Arguments right to left, as terms.match visits them, so that a
         # repeated variable is bound at the occurrence where match binds it.
-        stack = [(p, "r0" if single else f"r0[{i}]") for i, p in enumerate(patterns)]
+        stack = [(pattern, "r0")]
         while stack:
             p, node = stack.pop()
             if p.__class__ is Var:
@@ -278,10 +229,10 @@ class _Code:
                 else:
                     bound.add(k)
                     binds.append(k)
-                    body.append(f"v{k} = {node}")
-                    if check:
-                        body.append(f"if c and not v{k}.constructor: {fail}")
-            elif p.args and p.ground:
+                    body += (f"v{k} = {node}", f"if c and not v{k}.constructor: {fail}")
+            elif p.args and p.ground and (into or node != "r0"):
+                # Not at an lhs's root: its subject is built anew, never
+                # the rule's own term, and comparing it whole walks it.
                 g = self.ref(p)
                 body += (f"t = {node}", f"if t is not {g} and t != {g}: {fail}")
             else:
@@ -303,8 +254,7 @@ class _Code:
         else:
             items = (f"v{k}" if k in binds else self.ref(t) for k, t in enumerate(self.init))
             body.append("return [" + ", ".join(items) + "]")
-        params = "r0" + (", s" if into else "") + (", c" if check else "")
-        return self.function(params, body)
+        return self.function("r0, s, c" if into else "r0, c", body)
 
     def builder(self, template: Term, bound: set[int]) -> tuple[str, bool]:
         """A function of the slot list that instantiates the template, and

@@ -308,15 +308,15 @@ class _Zipper:
 
 def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
     """term with every trace term undone, most recent first, each by its
-    replay program (see `ReplayProgram`). A condition's sub-trace is played
-    back in a frame pushed on a stack, not by a recursive call. The pair is
-    safe, so every slot the replay program reads as bound is bound to a
-    ground term when it is read."""
+    rule's program read backwards (`RewriteSystem.replays`). A condition's
+    sub-trace is played back in a frame pushed on a stack, not by a
+    recursive call. The pair is safe, so every slot the program reads as
+    bound is bound to a ground term when it is read."""
     replays = system.replays
     # The playbacks waiting for a sub-trace's value, innermost last: the
     # trace and the index of the trace term after the pending one, the
-    # pending trace term, its replay program, slots and condition index,
-    # and the zipper.
+    # pending trace term, its program, slots and index into the program's
+    # conditions (the rule's, last to first), and the zipper.
     frames: list[tuple] = []
     zipper, n = _Zipper(term), 0
     while True:
@@ -334,7 +334,7 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             focus = zipper.focus
             if focus.__class__ is not App or not focus.ground:
                 raise NotGround(f"match subject must be ground: {format_term(focus)}")
-            slots = program.rhs(focus)
+            slots = program.lhs(focus, False)
             if slots is None:
                 raise TraceMismatch(
                     f"{tt.label}: right-hand side {format_term(program.rule.rhs)} does not "
@@ -349,17 +349,16 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             if not frames:
                 return value
             trace, n, tt, program, slots, j, zipper = frames.pop()
-            i, _, lhs = program.conditions[j]
-            if not lhs(value, slots):
+            if not program.conditions[j][2](value, slots, False):
                 raise TraceMismatch(
-                    f"{tt.label}: condition {i + 1} left-hand side does not match the "
-                    f"replayed value {format_term(value)}"
+                    f"{tt.label}: condition {len(program.conditions) - j} left-hand side does "
+                    f"not match the replayed value {format_term(value)}"
                 )
             j += 1
         # The pending trace term replays its next condition, or is undone.
         if j < len(program.conditions):
-            i, rhs, _ = program.conditions[j]
-            start = rhs(slots)
+            i = len(program.conditions) - 1 - j
+            start = program.conditions[j][0](slots)
             if start.__class__ is not App or not start.ground:
                 raise TraceMismatch(
                     f"{tt.label}: condition {i + 1} right-hand side is not ground "
@@ -368,7 +367,7 @@ def _backward_to_empty(system: RewriteSystem, term: Term, trace: Trace) -> Term:
             frames.append((trace, n, tt, program, slots, j, zipper))
             zipper, trace, n = _Zipper(start), tt.sub_traces[i], 0
             continue
-        rebuilt = program.lhs(slots)
+        rebuilt = program.rhs(slots)
         if not rebuilt.ground:
             raise TraceMismatch(
                 f"{tt.label}: left-hand side variables remain unbound after playback"

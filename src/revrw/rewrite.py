@@ -273,7 +273,7 @@ class _Engine:
             if program is None:
                 # The rule programs left at node, tried in turn.
                 while k < n:
-                    slots = programs[k].lhs(node.args, constructor)
+                    slots = programs[k].lhs(node, constructor)
                     if slots is not None:
                         break
                     k += 1
@@ -296,8 +296,6 @@ class _Engine:
                                 raise NotGround(f"match subject must be ground: {format_term(node)}")
                             programs = table.get(node.symbol.name, ())
                             n = len(programs)
-                            if n and programs[0].arity != node.symbol.arity:
-                                programs, n = (), 0
                             k = 0
                             continue
                         value = cursor.term
@@ -347,8 +345,6 @@ class _Engine:
                     cursor, node = None, term
                     programs = table.get(term.symbol.name, ())
                     n = len(programs)
-                    if n and programs[0].arity != term.symbol.arity:
-                        programs, n = (), 0
                 else:
                     cursor = _Cursor(term, top, any_node)
                     programs, n = (), 0

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     ReservedName,
 )
-from .programs import ReplayProgram, RuleProgram
+from .programs import RuleProgram
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -162,12 +162,12 @@ class RewriteSystem:
         }
 
     @cached_property
-    def replays(self) -> dict[str, ReplayProgram]:
-        """Every rule compiled for backward playback (see
-        `revrw.programs.ReplayProgram`), by label. Compiled once per
-        system, on its first backward step."""
+    def replays(self) -> dict[str, RuleProgram]:
+        """Every rule compiled read backwards, to undo its steps (see
+        `revrw.programs`), by label. Compiled once per system, on its first
+        backward step."""
         domains = self.safety_domains
-        return {r.label: ReplayProgram(r, domains[r.label]) for r in self.rules}
+        return {r.label: RuleProgram(r, domain=domains[r.label], backward=True) for r in self.rules}
 
     @cached_property
     def views(self) -> dict:

@@ -7,7 +7,7 @@ Positions are 1-based index paths; the empty path addresses the root.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidPosition, NotGround, OverlappingDomains
 
@@ -193,11 +193,42 @@ def is_basic_term(t: Term) -> bool:
 
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t in post-order (leftmost-innermost first, root last)."""
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, 1):
-            for q in positions(a):
-                yield (i, *q)
-    yield ROOT
+    # The path from the root: each node, its position, and how many of its
+    # arguments have been entered.
+    stack = [(t, ROOT, 0)]
+    while stack:
+        u, p, i = stack.pop()
+        if isinstance(u, App) and i < len(u.args):
+            stack.append((u, p, i + 1))
+            stack.append((u.args[i], p + (i + 1,), 0))
+        else:
+            yield p
+
+
+def rebuild(t: Term, visit: Callable[[Term], tuple[Term, bool]]) -> Term:
+    """t rebuilt bottom-up on an explicit stack. `visit(u)` gives the term
+    that takes node u's place, and whether that term's arguments are
+    visited and rebuilt in turn; it sees the nodes in preorder, arguments
+    left to right, and none below a node whose term it keeps whole."""
+    done: list[Term] = []
+    # Terms still to visit, and symbols whose arguments are the last in
+    # `done`.
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Symbol:
+            k = len(done) - u.arity
+            args = tuple(done[k:])
+            del done[k:]
+            done.append(App(u, args))
+            continue
+        u, descend = visit(u)
+        if descend:
+            stack.append(u.symbol)
+            stack.extend(reversed(u.args))
+        else:
+            done.append(u)
+    return done[0]
 
 
 def subterm(t: Term, p: Position) -> Term:
@@ -273,11 +304,16 @@ class Subst:
         return sorted(self._map.items())
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return self._map.get(t.name, t)
-        if t.ground or not self._map:
+        m = self._map
+        if not m:
             return t
-        return App(t.symbol, tuple(self.apply(a) for a in t.args))
+
+        def visit(u: Term) -> tuple[Term, bool]:
+            if u.__class__ is Var:
+                return m.get(u.name, u), False
+            return u, not u.ground
+
+        return rebuild(t, visit)
 
     def restrict(self, names: Iterable[str]) -> "Subst":
         keep = set(names)
@@ -396,13 +432,11 @@ def unify(s: Term, t: Term) -> Subst | None:
         else:
             return None
 
-    def deep(u: Term) -> Term:
+    def visit(u: Term) -> tuple[Term, bool]:
         u = resolve(u)
-        if isinstance(u, App) and u.args:
-            return App(u.symbol, tuple(deep(x) for x in u.args))
-        return u
+        return u, u.__class__ is App and not u.ground
 
-    return Subst({x: deep(v) for x, v in triangular.items()})
+    return Subst({x: rebuild(v, visit) for x, v in triangular.items()})
 
 
 def _cons_spine(t: Term) -> tuple[list[Term], Term]:

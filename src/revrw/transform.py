@@ -7,6 +7,8 @@ view-update construction built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .errors import (
     NotApplicable,
@@ -31,6 +33,7 @@ from .terms import (
     is_basic_term,
     is_constructor_term,
     is_ground,
+    rebuild,
     term_vars,
     unify,
     vars_of,
@@ -331,17 +334,17 @@ def range_disjoint(r1: Term, r2: Term) -> bool:
     maximal defined-rooted subterm is abstracted to a distinct fresh variable
     (the two terms are renamed apart) and the abstractions must fail to
     unify. True implies the ranges are disjoint; False is inconclusive."""
-    counter = [0]
+    holes = count(1)
 
-    def abstract(t: Term, side: str) -> Term:
+    def abstract(t: Term, side: str) -> tuple[Term, bool]:
         if isinstance(t, Var):
-            return Var(f"{side}#{t.name}")
+            return Var(f"{side}#{t.name}"), False
         if t.symbol.kind == DEFINED:
-            counter[0] += 1
-            return Var(f"hole#{counter[0]}")
-        return App(t.symbol, tuple(abstract(a, side) for a in t.args))
+            return Var(f"hole#{next(holes)}"), False
+        return t, True
 
-    return unify(abstract(r1, "l"), abstract(r2, "r")) is None
+    left = rebuild(r1, lambda t: abstract(t, "l"))
+    return unify(left, rebuild(r2, lambda t: abstract(t, "r"))) is None
 
 
 def injectivize_improved(system: RewriteSystem, origin: RewriteSystem) -> RewriteSystem:
@@ -481,22 +484,34 @@ def encode_trace(system: RewriteSystem, trace: Trace | TraceTerm) -> Term:
 
 
 def _encode(system: RewriteSystem, tt: TraceTerm) -> Term:
-    if tt.position != ROOT:
-        raise UnsafeTrace(
-            f"{tt.label}: non-root position {tt.position} cannot arise under top reduction"
-        )
-    rule = system.rule_by_label(tt.label)
-    assert rule is not None
-    values = [t for _, t in tt.recorded.items()]
-    subs = []
-    for sub in tt.sub_traces:
-        if len(sub) != 1:
+    """tt encoded bottom-up: the trace terms whose sub-traces are being
+    encoded wait on a stack, as in `derivation_trace`, and each is checked
+    as it is entered, in preorder."""
+    # Open trace terms, innermost last: each with its recorded values and
+    # encoded sub-traces so far, and its sub-traces left.
+    open_terms: list[tuple[TraceTerm, list[Term], Iterator[Trace]]] = []
+    while True:
+        if tt.position != ROOT:
             raise UnsafeTrace(
-                f"{tt.label}: sub-trace of length {len(sub)} cannot arise under top reduction"
+                f"{tt.label}: non-root position {tt.position} cannot arise under top reduction"
             )
-        subs.append(_encode(system, sub[0]))
-    sym = Symbol(tt.label, len(values) + len(subs))
-    return App(sym, (*values, *subs))
+        assert system.rule_by_label(tt.label) is not None
+        open_terms.append((tt, [t for _, t in tt.recorded.items()], iter(tt.sub_traces)))
+        while True:
+            tt, items, subs = open_terms[-1]
+            sub = next(subs, None)
+            if sub is not None:
+                if len(sub) != 1:
+                    raise UnsafeTrace(
+                        f"{tt.label}: sub-trace of length {len(sub)} cannot arise under top reduction"
+                    )
+                tt = sub[0]
+                break
+            open_terms.pop()
+            encoded = App(Symbol(tt.label, len(items)), tuple(items))
+            if not open_terms:
+                return encoded
+            open_terms[-1][1].append(encoded)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ from revrw import (
     Rule,
     StepWitness,
     Subst,
+    Symbol,
     Term,
     TraceMismatch,
     UnknownLabel,
     UnsafePair,
+    UnsafeTrace,
     UpdateFailed,
     Var,
     ViewFailed,
@@ -757,3 +759,115 @@ def ref_view_update(system, view_args, new_view, bounds=Bounds(), function=None,
             f"stuck at {format_term(rebuilt)}"
         )
     return rebuilt.args
+
+
+# ---------------------------------------------------------------------------
+# The recursive walkers that the library's explicit-stack loops replaced, as
+# they were. Each recurses once per level of its term or trace, so they serve
+# shallow inputs only.
+
+
+def ref_positions(t: Term):
+    """All positions of t in post-order."""
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, 1):
+            for q in ref_positions(a):
+                yield (i, *q)
+    yield ROOT
+
+
+def ref_apply(sigma: Subst, t: Term) -> Term:
+    if isinstance(t, Var):
+        bound = sigma.get(t.name)
+        return t if bound is None else bound
+    if t.ground or not sigma:
+        return t
+    return App(t.symbol, tuple(ref_apply(sigma, a) for a in t.args))
+
+
+def ref_unify(s: Term, t: Term) -> Subst | None:
+    """Most general unifier (idempotent, occurs check enforced), or None:
+    triangular bindings, resolved by a recursive walk."""
+    triangular: dict[str, Term] = {}
+
+    def resolve(u: Term) -> Term:
+        while isinstance(u, Var) and u.name in triangular:
+            u = triangular[u.name]
+        return u
+
+    def occurs(name: str, u: Term) -> bool:
+        u = resolve(u)
+        if isinstance(u, Var):
+            return u.name == name
+        return any(occurs(name, a) for a in u.args)
+
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        a, b = resolve(a), resolve(b)
+        if isinstance(a, Var):
+            if isinstance(b, Var) and b.name == a.name:
+                continue
+            if occurs(a.name, b):
+                return None
+            triangular[a.name] = b
+        elif isinstance(b, Var):
+            if occurs(b.name, a):
+                return None
+            triangular[b.name] = a
+        elif a.symbol == b.symbol:
+            stack.extend(zip(a.args, b.args))
+        else:
+            return None
+
+    def deep(u: Term) -> Term:
+        u = resolve(u)
+        if isinstance(u, App) and u.args:
+            return App(u.symbol, tuple(deep(x) for x in u.args))
+        return u
+
+    return Subst({x: deep(v) for x, v in triangular.items()})
+
+
+def ref_range_disjoint(r1: Term, r2: Term) -> bool:
+    counter = [0]
+
+    def abstract(t: Term, side: str) -> Term:
+        if isinstance(t, Var):
+            return Var(f"{side}#{t.name}")
+        if t.symbol.kind == DEFINED:
+            counter[0] += 1
+            return Var(f"hole#{counter[0]}")
+        return App(t.symbol, tuple(abstract(a, side) for a in t.args))
+
+    return ref_unify(abstract(r1, "l"), abstract(r2, "r")) is None
+
+
+def ref_encode_trace(system: RewriteSystem, trace) -> Term:
+    """encode_trace, encoding each sub-trace by a recursive call."""
+    if isinstance(trace, TraceTerm):
+        tt = trace
+    else:
+        if len(trace) != 1:
+            raise UnsafeTrace(f"only singleton traces are encodable, got length {len(trace)}")
+        tt = trace[0]
+    report = is_safe(system, (tt,))
+    if not report.ok:
+        raise UnsafeTrace("; ".join(report.findings))
+    return _ref_encode(tt)
+
+
+def _ref_encode(tt: TraceTerm) -> Term:
+    if tt.position != ROOT:
+        raise UnsafeTrace(
+            f"{tt.label}: non-root position {tt.position} cannot arise under top reduction"
+        )
+    values = [t for _, t in tt.recorded.items()]
+    subs = []
+    for sub in tt.sub_traces:
+        if len(sub) != 1:
+            raise UnsafeTrace(
+                f"{tt.label}: sub-trace of length {len(sub)} cannot arise under top reduction"
+            )
+        subs.append(_ref_encode(sub[0]))
+    return App(Symbol(tt.label, len(values) + len(subs)), (*values, *subs))

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 import revrw.cli
 from revrw import parse_system
 from revrw.cli import main
 
-from .conftest import CORPUS_DIR
+from .conftest import CORPUS_DIR, examples
 
 
 def run(capsys, *argv):
@@ -406,3 +411,141 @@ def test_transforms_of_a_rule_term_past_the_recursion_limit(capsys, tmp_path, co
     if command == ["flatten"]:
         flat = parse_system(out, allow_reserved=True)
         assert flat.is_pcdctrs and nat in out
+
+
+@pytest.mark.parametrize("command", ["flatten", "pipeline"])
+def test_transforms_of_a_condition_past_the_recursion_limit(capsys, tmp_path, command):
+    # Removing the condition applies its mgu to the rule without recursion.
+    nat = "s(" * 3000 + "0" + ")" * 3000
+    path = tmp_path / "deep.trs"
+    path.write_text(f"(VAR x y)(RULES f(x) -> y | {nat} == y)", encoding="utf-8")
+    try:
+        code, out, err = run(capsys, command, path)
+    except RecursionError:
+        code = out = err = "RecursionError"
+    assert code == 0 and err == "" and f"f(x) -> {nat}" in out
+
+
+# --- fuzzing: every input ends in exit 0, 1 or 2, never in a traceback --------
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1000", "99999999999999999999999", "-99999999999999999999", "abc", "", "1e3", "0x10", " 7"]),
+)
+_TOKENS = (
+    "(", ")", ",", "->", "==", "|", "[", "]", "{", "}", ".", "VAR", "RULES", "COMMENT",
+    "CONDITIONTYPE", "ORIENTED", "x", "y", "f", "g", "s", "0", "add", "mult", "nil", "cons",
+    "b1", "b2", "e", "1", "tuple#2", "view^-1", "'", "#", "é", "\n",
+)
+_token_text = st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join)
+# Nesting depths: mostly shallow, some past the recursion limit.
+_depths = st.one_of(st.integers(0, 40), st.sampled_from([1200, 5000]))
+
+
+def _nat(n: int) -> str:
+    return "s(" * n + "0" + ")" * n
+
+
+@st.composite
+def _texts(draw, kind: str) -> str:
+    """Text for a term, a trace or a system: well formed at any depth, cut
+    short, or random tokens."""
+    n = draw(_depths)
+    shapes = {
+        "term": [_nat(n), f"add({_nat(n)},0)", f"double({_nat(n)})", "f(" * n + "0", "[" + "0," * n + "0]"],
+        "trace": [
+            "[b2(e, {}, " * n + "[b1(e, {})]" + ")]" * n,
+            "[" + ", ".join(["b2(e, {})"] * n) + "]",
+            "[b2(e, {}, " * n,
+            f"[b1({'1.' * n}1, {{}})]",
+        ],
+        "system": [
+            f"(VAR x y)(RULES f(x) -> g({_nat(n)},h(x)) g(x,y) -> y h(x) -> x)",
+            f"(VAR x y)(RULES f(x) -> y | {_nat(n)} == y)",
+            f"(VAR x y)(RULES add(0,y) -> y add(s(x),y) -> s(add(x,y)) f(x) -> y | add(x,{_nat(n)}) == y)",
+            "(VAR x)(RULES f(" * n + "x" + ")" * n + " -> x)",
+        ],
+    }[kind]
+    return draw(st.one_of(st.sampled_from(shapes), _token_text))
+
+
+_COMMANDS = ("check", "rewrite", "forward", "backward", "flatten", "injectivize", "invert", "pipeline", "bidir")
+
+
+@st.composite
+def _invocations(draw):
+    """An argument list (with FILE for the system file and TRACE for the
+    trace file), and the file contents, bytes or text."""
+    command = draw(st.sampled_from(_COMMANDS))
+    file = draw(st.one_of(
+        st.sampled_from(["addmult.trs", "view.trs", "double.trs", "simplify.trs"]).map(
+            lambda name: (CORPUS_DIR / name).read_bytes()
+        ),
+        _texts("system").map(str.encode),
+        st.binary(max_size=40).map(lambda b: b"(RULES f -> " + b + b"\xff)"),
+    ))
+    options = {
+        "--term": _texts("term"),
+        "--args": _texts("term").map(lambda t: f"book,{t}"),
+        "--new-view": _texts("term"),
+        "--function": st.sampled_from(["view", "add", "nope", ""]),
+        "--trace": _texts("trace"),
+        "--trace-file": st.sampled_from(["TRACE", "-", "missing.txt"]),
+        "--strategy": st.sampled_from(["innermost", "constructor", "top", "any", "outermost", ""]),
+        "--steps": st.one_of(_NUMBERS, st.just("normal")),
+        "--max-steps": _NUMBERS,
+        "--max-depth": _NUMBERS,
+        "--property": st.sampled_from(["3ctrs", "dctrs", "constructor", "pcdctrs", "trs"]),
+        "--output": st.sampled_from(["out.txt", "nodir/out.txt"]),
+        "--improved": st.just(None),
+        "--help": st.just(None),
+    }
+    argv = [command, "FILE"]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=5, unique=True)):
+        if flag == "--help" and draw(st.integers(0, 9)):
+            continue
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 9)):
+        # Mostly with what the command needs, so that it gets past argparse.
+        needs = {"rewrite": ["--term"], "forward": ["--term"], "backward": ["--term", "--trace"],
+                 "bidir": ["--args", "--new-view"]}
+        for flag in needs.get(command, []):
+            if flag not in argv:
+                argv += [flag, draw(options[flag])]
+    return argv, file, draw(_texts("trace"))
+
+
+# The arguments that name a file in the example's own directory.
+_PATHS = {"FILE", "TRACE", "out.txt", "nodir/out.txt", "missing.txt"}
+
+
+@examples(60)
+@given(_invocations())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(case):
+    argv, file, trace = case
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "FILE"), "wb") as handle:
+            handle.write(file)
+        with open(os.path.join(tmp, "TRACE"), "w", encoding="utf-8") as handle:
+            handle.write(trace)
+        argv = [os.path.join(tmp, a) if a in _PATHS else a for a in argv]
+        recursion = False
+        try:
+            sys.stdin = io.StringIO(trace)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        except RecursionError:
+            # Fail outside the handler: reporting a traceback this deep takes
+            # pytest minutes.
+            recursion = True
+        finally:
+            sys.stdin = stdin
+    assert not recursion, argv
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -39,6 +39,8 @@ from revrw import (
     Subst,
     Symbol,
     Term,
+    TraceMismatch,
+    TraceTerm,
     Var,
     backward_run,
     first_step,
@@ -54,7 +56,7 @@ from revrw import (
     to_pcdctrs,
     view_update,
 )
-from revrw.programs import ReplayProgram, RuleProgram
+from revrw.programs import RuleProgram
 from revrw.rewrite import STRATEGIES, normalize_traced
 from revrw.terms import CONSTRUCTOR, DEFINED
 
@@ -400,14 +402,14 @@ def test_compiled_lhs_and_rhs_agree_with_match_and_apply(p1, p2, rhs, data):
     subject = _instance(data.draw, lhs, "xyz")
     program = RuleProgram(Rule("t", lhs, rhs))
     want = match(lhs, subject)
-    slots = program.lhs(subject.args, False)
+    slots = program.lhs(subject, False)
     assert (slots is None) == (want is None), (lhs, subject)
     if want is not None:
         assert program.subst(slots) == want
         assert _same_build(program.rhs(slots), want.apply(rhs))
     # The constructor strategy: a match that binds a variable to a term in
     # which a defined symbol occurs fails.
-    slots = program.lhs(subject.args, True)
+    slots = program.lhs(subject, True)
     assert (slots is not None) == (want is not None and want.is_constructor)
 
 
@@ -420,7 +422,7 @@ def test_condition_programs_agree_with_match_of_the_instance(p1, clhs, crhs, rhs
     if sigma is None:
         return
     program = RuleProgram(Rule("t", lhs, rhs, (Condition(clhs, crhs),)))
-    slots = program.lhs(subject.args, False)
+    slots = program.lhs(subject, False)
     builder, ground, matcher = program.conditions[0]
     instance = sigma.apply(clhs)
     # Variables the lhs left unbound stay variables, as in the
@@ -447,23 +449,22 @@ def test_replay_programs_agree_with_match_and_apply(p1, p2, clhs, crhs, rhs, dat
     lhs = App(G, (p1, p2))
     rule = Rule("t", lhs, rhs, (Condition(clhs, crhs),))
     sigma = Subst({n: data.draw(ground_subterms) for n in "xyzuv"})
-    replay = ReplayProgram(rule, safety_domain(rule))
-    names = [v.name for v in replay.init]
+    replay = RuleProgram(rule, domain=safety_domain(rule), backward=True)
+    names = replay.names
     focus = data.draw(near(sigma.apply(rhs)))
     want = match(rhs, focus)
-    slots = replay.rhs(focus)
+    slots = replay.lhs(focus, False)
     assert (slots is None) == (want is None), (rhs, focus)
     if want is not None:
-        assert Subst(zip(names, slots)) == want
-    slots = replay.rhs(sigma.apply(rhs))
+        assert replay.subst(slots) == want
+    slots = replay.lhs(sigma.apply(rhs), False)
     for name, k in replay.safe:
         slots[k] = sigma.get(name)
-    [(i, builder, matcher)] = replay.conditions
-    assert i == 0
+    [(builder, _, matcher)] = replay.conditions
     assert _same_build(builder(slots), sigma.apply(crhs))
-    assert matcher(sigma.apply(clhs), slots)
+    assert matcher(sigma.apply(clhs), slots, False)
     assert Subst(zip(names, slots)) == sigma.restrict(names)
-    assert _same_build(replay.lhs(slots), sigma.apply(lhs))
+    assert _same_build(replay.rhs(slots), sigma.apply(lhs))
 
 
 def test_rule_compiled_against_given_bindings():
@@ -483,6 +484,35 @@ def test_rule_compiled_against_given_bindings():
     assert matcher(value, slots, False)
     assert program.subst(slots) == Subst({"x": zero, "y": App(INNER[1], (Var("w"),)), "u": App(LEAVES[1])})
     assert not matcher(App(c, (App(LEAVES[1]), zero)), list(program.init), False)
+
+
+def test_a_symbol_with_the_right_name_and_the_wrong_arity_never_matches(addmult):
+    # Rules are looked up by the root's name alone, so the arity half of a
+    # generated symbol test is all that keeps add/1 from add/2's rules, at
+    # the root and below it, forwards and backwards.
+    zero = parse_term("0", addmult)
+    odd_add = App(Symbol("add", 1), (zero,))
+    for strategy in STRATEGIES:
+        assert step(addmult, odd_add, strategy) == []
+        assert first_step(addmult, odd_add, strategy) is None
+        assert normalize(addmult, odd_add, strategy) is odd_add
+    with pytest.raises(TraceMismatch, match=r"^b2: right-hand side s\(add\(x,y\)\) does not match s\(0,0\)$"):
+        backward_run(addmult, Pair(App(Symbol("s", 2), (zero, zero)), (TraceTerm("b2", (), Subst()),)))
+    for rules, odd in (
+        # Each pattern's c has one arity, the subject's c the other: in the
+        # lhs of f, and in the condition rhs of h, which k's normal form meets.
+        ("f(c(x)) -> x h(x) -> y | k(x) == c(y) k(x) -> x", Symbol("c", 2)),
+        ("f(c(x,y)) -> y h(x) -> y | k(x) == c(y,y) k(x) -> x", Symbol("c", 1)),
+    ):
+        system = parse_system(f"(VAR x y)(RULES {rules})")
+        arg = App(odd, (parse_term("0", system),) * odd.arity)
+        f, h = (App(system.signature[name], (arg,)) for name in "fh")
+        program = system.programs["f"][0]
+        assert program.lhs(f, False) is None
+        for strategy in STRATEGIES:
+            assert step(system, f, strategy) == []
+            assert normalize(system, f, strategy) is f
+            assert normalize(system, h, strategy) == h
 
 
 # --- generated code never holds a name from the input ------------------------
@@ -561,7 +591,7 @@ def test_generated_code_holds_no_input_name(names):
                 if node.symbol != rule.lhs.symbol:
                     continue
                 want = match(rule.lhs, node)
-                slots = program.lhs(node.args, False)
+                slots = program.lhs(node, False)
                 assert (slots is None) == (want is None)
                 if slots is not None:
                     assert program.subst(slots) == want

@@ -31,8 +31,8 @@ from revrw import (
 )
 from revrw.terms import DEFINED
 
-from .conftest import CORPUS_DIR, load
-from .oracles import ground_unifiers, ref_is_constructor_term
+from .conftest import CORPUS_DIR, examples, load
+from .oracles import ground_unifiers, ref_apply, ref_is_constructor_term, ref_positions, ref_unify
 
 ZERO = Symbol("0", 0)
 S = Symbol("s", 1)
@@ -449,3 +449,41 @@ def test_app_is_an_immutable_slotted_node():
         App(f, (x,))
     assert App(f, (x, x)) == App(f, [App(a), App(a)]) and hash(App(f, (x, x))) == hash(App(f, (App(a), x)))
     assert repr(t) == "f(a,y)"
+
+
+# --- the iterative walkers against their recursive references -----------------
+
+
+@examples(200)
+@given(pattern_terms, pattern_terms, st.dictionaries(st.sampled_from(["x", "y", "z"]), pattern_terms))
+def test_walkers_agree_with_their_recursive_references(s, t, bindings):
+    assert list(positions(t)) == list(ref_positions(t))
+    sigma = Subst(bindings)
+    got, want = sigma.apply(t), ref_apply(sigma, t)
+    assert got == want
+    assert (is_ground(got), is_constructor_term(got)) == (is_ground(want), is_constructor_term(want))
+    # The same mgu, binding for binding.
+    assert unify(s, t) == ref_unify(s, t)
+    assert unify(sigma.apply(s), t) == ref_unify(ref_apply(sigma, s), t)
+
+
+def _deep(depth: int, leaf) -> App:
+    t = leaf
+    for _ in range(depth):
+        t = S(t)
+    return t
+
+
+def test_walkers_take_terms_past_the_recursion_limit():
+    depth = 5000
+    deep_x = _deep(depth, x)
+    ps = positions(C(deep_x, zero))
+    assert next(ps) == (1,) * (depth + 1)
+    assert sum(1 for _ in ps) == depth + 2
+    assert Subst({"x": zero}).apply(deep_x) == nat(depth)
+    assert Subst({"x": deep_x}).apply(deep_x) == _deep(2 * depth, x)
+    assert unify(deep_x, nat(depth)) == Subst({"x": zero})
+    # y resolves through x's binding: C(s^n(s^n(0)), s^n(0)).
+    theta = unify(C(x, y), C(_deep(depth, y), nat(depth)))
+    assert theta == Subst({"x": nat(2 * depth), "y": nat(depth)})
+    assert unify(deep_x, _deep(depth, S(x))) is None

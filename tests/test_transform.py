@@ -4,13 +4,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from revrw import (
     App,
+    Bounds,
     Condition,
     NotApplicable,
     Pair,
     PreconditionViolated,
+    RevrwError,
     Rule,
     ShapeViolated,
     Subst,
@@ -47,11 +50,13 @@ from revrw import transform
 from revrw.systems import RewriteSystem
 from revrw.terms import DEFINED, Var
 
-from .conftest import CORPUS_DIR, load
+from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     all_normal_forms,
     basic_terms,
     ref_basic_position,
+    ref_encode_trace,
+    ref_range_disjoint,
     ref_to_pcdctrs,
     systems_isomorphic,
 )
@@ -541,6 +546,38 @@ def test_range_disjoint_cases(fgh, zip_sys):
     assert not range_disjoint(s_w, s_v)
 
 
+RD_LEAVES = [App(Symbol("0", 0)), Var("x"), Var("y")]
+RD_S, RD_C = Symbol("s", 1), Symbol("c", 2)
+RD_F, RD_G = Symbol("f", 2, DEFINED), Symbol("g", 1, DEFINED)
+rd_terms = st.recursive(
+    st.sampled_from(RD_LEAVES),
+    lambda kids: st.one_of(
+        st.builds(lambda a: App(RD_S, (a,)), kids),
+        st.builds(lambda a, b: App(RD_C, (a, b)), kids, kids),
+        st.builds(lambda a: App(RD_G, (a,)), kids),
+        st.builds(lambda a, b: App(RD_F, (a, b)), kids, kids),
+    ),
+    max_leaves=6,
+)
+
+
+@examples(200)
+@given(rd_terms, rd_terms)
+def test_range_disjoint_agrees_with_the_recursive_reference(r1, r2):
+    assert range_disjoint(r1, r2) == ref_range_disjoint(r1, r2)
+
+
+def test_range_disjoint_past_the_recursion_limit():
+    def deep(leaf):
+        for _ in range(5000):
+            leaf = App(RD_S, (leaf,))
+        return leaf
+
+    x, zero = Var("x"), RD_LEAVES[0]
+    assert not range_disjoint(deep(x), deep(App(RD_G, (zero,))))
+    assert range_disjoint(deep(App(RD_C, (x, x))), deep(zero))
+
+
 # --- encode_trace -----------------------------------------------------------------
 
 
@@ -573,6 +610,78 @@ def test_encode_trace_rejects_non_root_positions(addfst):
     tt = TraceTerm("b2", (1,), Subst())
     with pytest.raises(UnsafeTrace):
         encode_trace(addfst, tt)
+
+
+def _nested(trace, path=()):
+    """Every trace term in trace, in preorder, with its path: (index in its
+    trace, index of the sub-trace), ..., index in its trace."""
+    for i, tt in enumerate(trace):
+        yield path + (i,), tt
+        for j, sub in enumerate(tt.sub_traces):
+            yield from _nested(sub, path + (i, j))
+
+
+def _edit(trace, path, edit):
+    """trace with edit applied to the trace term at path."""
+    i = path[0]
+    tt = trace[i]
+    if len(path) == 1:
+        new = edit(tt)
+    else:
+        j = path[1]
+        subs = tt.sub_traces
+        new = TraceTerm(tt.label, tt.position, tt.recorded,
+                        subs[:j] + (_edit(subs[j], path[2:], edit),) + subs[j + 1:])
+    return trace[:i] + (new,) + trace[i + 1:]
+
+
+_TRACE_EDITS = {
+    "non-root": lambda tt: TraceTerm(tt.label, (1,), tt.recorded, tt.sub_traces),
+    "empty sub-trace": lambda tt: TraceTerm(tt.label, tt.position, tt.recorded, tt.sub_traces[:-1] + ((),)),
+    "doubled sub-trace": lambda tt: TraceTerm(
+        tt.label, tt.position, tt.recorded, tt.sub_traces[:-1] + (tt.sub_traces[-1] * 2,)
+    ),
+    "unknown label": lambda tt: TraceTerm("nolabel", tt.position, tt.recorded, tt.sub_traces),
+}
+_ENCODED_RUNS = (
+    ("addmult.trs", "add(s(s(s(0))),s(0))"),
+    ("addmult.trs", "mult(s(s(0)),s(0))"),
+    ("view.trs", "view(book,[r(book,1),r(dvd,2),r(book,3)])"),
+    ("needvars.trs", "f(0,2,4)"),
+)
+
+
+def _outcome(encode, system, trace):
+    try:
+        return format_term(encode(system, trace))
+    except RevrwError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@examples(100)
+@given(st.sampled_from(_ENCODED_RUNS), st.data())
+def test_encode_trace_agrees_with_the_recursive_reference_on_edited_traces(run, data):
+    # The first UnsafeTrace raised is the recursive pre-order's: a trace
+    # term's position, then each sub-trace's length as it is entered.
+    name, text = run
+    pc, _ = to_pcdctrs(load(name))
+    trace = forward_run(pc, Pair(parse_term(text, pc)), "constructor").trace
+    for _ in range(data.draw(st.integers(0, 3))):
+        path, tt = data.draw(st.sampled_from(list(_nested(trace))))
+        kind = data.draw(st.sampled_from(sorted(_TRACE_EDITS)))
+        if kind.endswith("sub-trace") and not tt.sub_traces:
+            continue
+        trace = _edit(trace, path, _TRACE_EDITS[kind])
+    assert _outcome(encode_trace, pc, trace) == _outcome(ref_encode_trace, pc, trace)
+
+
+def test_encode_trace_past_the_recursion_limit(addmult):
+    # add(s^3000(0),0) in the pcDCTRS nests its conditions 3000 deep.
+    pc, _ = to_pcdctrs(addmult)
+    nat = "s(" * 3000 + "0" + ")" * 3000
+    bounds = Bounds(max_steps=100000, max_depth=5000)
+    out = forward_run(pc, Pair(parse_term(f"add({nat},0)", pc)), "constructor", None, bounds)
+    assert format_term(encode_trace(pc, out.trace)) == "b2(" * 3000 + "b1" + ")" * 3000
 
 
 # --- view update -------------------------------------------------------------------
