@@ -250,6 +250,21 @@ def backward_step(system: RewriteSystem, pair: Pair) -> Pair:
     return _safe_pair(system, term, pair.trace[1:])
 
 
+def _common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two tuples or strings,
+    found by halving: a few slice comparisons, however long they are."""
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    while hi - lo > 1:  # a[:lo] matches b[:lo], a[:hi] does not match b[:hi]
+        mid = (lo + hi) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class _Zipper:
     """A term opened at one position: the ancestors of the focus, root
     first, each with the index of the child on the path. Moving to another
@@ -278,15 +293,7 @@ class _Zipper:
         here = self.position
         k = min(len(here), len(position))
         if here[:k] != position[:k]:
-            # Longest common prefix: here[:lo] matches, here[:hi] does not.
-            lo, hi = 0, k
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if here[:mid] == position[:mid]:
-                    lo = mid
-                else:
-                    hi = mid
-            k = lo
+            k = _common_prefix(here, position)
         path = self.path
         while len(path) > k:
             self._up()
@@ -410,8 +417,11 @@ def _format(stack: list) -> str:
     term's sub-traces go on the stack, so nesting takes no recursion."""
     out: list[str] = []
     # Each position's text, printed once: the steps of a run revisit few
-    # positions, and deep ones are long.
+    # positions, and deep ones are long. A new position's text is the last
+    # one's, each index after a dot, cut after their common prefix and
+    # followed by the new position's indices past it.
     texts: dict[Position, str] = {}
+    last, dotted = ROOT, ""
     while stack:
         item = stack.pop()
         if item.__class__ is str:
@@ -419,7 +429,12 @@ def _format(stack: list) -> str:
             continue
         where = texts.get(item.position)
         if where is None:
-            where = texts[item.position] = format_position(item.position)
+            p = item.position
+            k = _common_prefix(last, p)
+            cut = len(dotted) - len("".join(map(".{}".format, last[k:])))
+            dotted = dotted[:cut] + "".join(map(".{}".format, p[k:]))
+            last, where = p, dotted[1:] or "e"
+            texts[p] = where
         out.append(f"{item.label}({where}, {format_subst(item.recorded)}")
         stack.append(")")
         for sub in reversed(item.sub_traces):
@@ -474,7 +489,9 @@ def _read_printed(text: str) -> Trace | None:
     if m is None:
         return None
     end = len(text.rstrip())
-    positions: dict[str, Position] = {}
+    positions: dict[str, Position] = {"e": ROOT}
+    # The last new position read, and its text.
+    last, last_text = ROOT, ""
     open_terms: list[tuple[list[TraceTerm], str, Position, Subst, list[Trace]]] = []
     items: list[TraceTerm] = []
     closed = m.group(1)
@@ -486,13 +503,21 @@ def _read_printed(text: str) -> Trace | None:
             label, where, empty, closed, sub, sub_closed = m.groups()
             position = positions.get(where)
             if position is None:
+                # The indices of last_text before the longest common prefix
+                # of the two texts, cut back to a dot or end in both, and
+                # those of where after it.
+                k = _common_prefix(last_text, where)
+                if where[k : k + 1] not in "." or last_text[k : k + 1] not in ".":
+                    k = where.rfind(".", 0, k)
                 try:
-                    position = ROOT if where == "e" else tuple(map(int, where.split(".")))
+                    read = tuple(map(int, where[k + 1 :].split("."))) if k < len(where) else ()
                 except ValueError:  # an index int does not take: empty, 1 2, 1_, too long
                     return None
-                if 0 in position:
+                if 0 in read:
                     return None
-                positions[where] = position
+                kept = last[: len(last) - last_text.count(".", k)] if k >= 0 else ROOT
+                last = positions[where] = position = kept + read
+                last_text = where
             if empty:
                 recorded = EMPTY_SUBST
             else:

@@ -193,9 +193,6 @@ class PipelineReport:
         return "\n".join(blocks)
 
 
-_MAX_PIPELINE_STEPS = 10000
-
-
 def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
     """Exhaustively apply flattening-rhs, flattening-condition, removal-unify
     and removal-fail until the system is a pcDCTRS: each rule, in textual
@@ -207,9 +204,17 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
     rule. The system is built once, at the end.
 
     Input must be a constructor DCTRS whose condition rhs's are constructor
-    terms. Terminates: every step removes one defined-symbol occurrence from
-    a non-head position or one constructor-lhs condition or one rule, and
-    only a step that removes a rule restarts the scan.
+    terms. Only a step that removes a rule restarts the scan, and there are
+    at most 2D + C + R steps, where D counts the defined symbols in the input's
+    rhs's and condition lhs's (at least those in non-head positions), C its
+    conditions and R its rules: each flattening moves one of the D into a
+    head position and adds one condition, so at most D flatten; each
+    removal-unify drops one condition, input or added, so at most C + D
+    do, whether the condition was constructor-lhs from the start or a
+    restart's rebinding made it so; each removal-fail drops one of the R
+    rules. A restart only turns defined symbols into constructors, so it
+    adds to none of these counts. A stage count past this measure is a
+    defect in the pipeline.
     """
     if not system.is_dctrs:
         raise PreconditionViolated("input is not a DCTRS")
@@ -232,6 +237,10 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
     )
     rules = list(system.rules)
     stages: list[Stage] = []
+    measure = sum(
+        2 * _count_defined(r.rhs) + sum(2 * _count_defined(c.lhs) + 1 for c in r.conditions) + 1
+        for r in rules
+    )
     i = 0
     while i < len(rules):
         rule = rules[i]
@@ -254,7 +263,7 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
                 rules = list(RewriteSystem(rules).rules)
                 i = 0
         stages.append(Stage(name, tuple(rules), (change,)))
-        if len(stages) == _MAX_PIPELINE_STEPS:
+        if len(stages) > measure:
             raise RevrwError("pcDCTRS pipeline did not terminate")
 
     current = RewriteSystem(rules) if stages else system

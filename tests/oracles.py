@@ -63,7 +63,15 @@ from revrw import (
 from revrw.reversible import TraceTerm, witness_trace_term
 from revrw.rewrite import STRATEGIES
 from revrw.systems import TermParser, TokenStream, tokenize
-from revrw.terms import CONSTRUCTOR, DEFINED, ROOT, Position, is_constructor_term, vars_of
+from revrw.terms import (
+    CONSTRUCTOR,
+    DEFINED,
+    ROOT,
+    Position,
+    format_subst,
+    is_constructor_term,
+    vars_of,
+)
 from revrw.transform import injective_name, inverse_name, tuple_symbol
 
 SEARCH_BOUNDS = Bounds(max_steps=200000, max_depth=100)
@@ -518,7 +526,7 @@ def ref_to_pcdctrs(system: RewriteSystem):
     )
     stages = []
     current = system
-    for _ in range(10000):
+    for _ in range(ref_pipeline_measure(system) + 1):
         applied = _ref_pipeline_step(current, ops)
         if applied is None:
             break
@@ -531,6 +539,19 @@ def ref_to_pcdctrs(system: RewriteSystem):
     if not report.ok:
         raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
     return current, stages
+
+
+def ref_pipeline_measure(system: RewriteSystem) -> int:
+    """2D + C + R, the bound on the pipeline's stages that `to_pcdctrs`
+    states: D defined symbols in the rhs's and condition lhs's, C
+    conditions, R rules."""
+    def defined(t: Term) -> int:
+        return 0 if isinstance(t, Var) else (t.symbol.kind == DEFINED) + sum(map(defined, t.args))
+
+    return sum(
+        2 * defined(r.rhs) + sum(2 * defined(c.lhs) + 1 for c in r.conditions) + 1
+        for r in system.rules
+    )
 
 
 def _ref_pipeline_step(system: RewriteSystem, ops):
@@ -693,6 +714,23 @@ def _ref_parse_subst(stream):
                 break
     stream.expect("RBRACE")
     return Subst(bindings)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace printer: each position printed whole, recursive descent
+#
+# The library prints each new position from the last one's text. This prints
+# every position by itself with `format_position`; its text is the
+# specification `format_trace` is tested against.
+
+
+def ref_format_trace(trace) -> str:
+    return "[" + ", ".join(map(_ref_format_trace_term, trace)) + "]"
+
+
+def _ref_format_trace_term(tt) -> str:
+    subs = "".join(", " + ref_format_trace(sub) for sub in tt.sub_traces)
+    return f"{tt.label}({format_position(tt.position)}, {format_subst(tt.recorded)}{subs})"
 
 
 def view_sources(pc: RewriteSystem) -> tuple[list[Term], list[Term]]:

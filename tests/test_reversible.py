@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from revrw import (
     TraceTerm,
     UnknownLabel,
     UnsafePair,
+    Var,
     backward_run,
     backward_step,
     format_trace,
@@ -33,12 +35,13 @@ from revrw import (
 from revrw.reversible import witness_trace_term
 from revrw.rewrite import STRATEGIES
 
-from .conftest import CORPUS_DIR, load
+from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     basic_terms,
     enumerate_backward_steps,
     reachable_terms,
     ref_backward_run,
+    ref_format_trace,
     ref_parse_trace,
     reversibly_reachable_terms,
     same_term,
@@ -217,6 +220,20 @@ def test_missing_bindings_are_unsafe(needvars):
     report = is_safe(needvars, bogus)
     assert not report.ok
     assert any("m" in f and "x" in f for f in report.findings)
+
+
+def test_a_recorded_binding_to_a_variable_is_unsafe(addfst):
+    report = is_safe(addfst, (TraceTerm("b3", (), Subst({"y": Var("z")})),))
+    assert not report and report.findings == ("b3: recorded substitution is not ground",)
+
+
+def test_trace_terms_and_pairs_print_as_trace_text(addfst):
+    from revrw.reversible import format_trace_term
+
+    tt = TraceTerm("b3", (2, 1, 12), Subst({"y": t(addfst, "s(0)")}), ((TraceTerm("b1", (), Subst()),),))
+    assert repr(tt) == format_trace_term(tt) == "b3(2.1.12, {y -> s(0)}, [b1(e, {})])"
+    pair = Pair(t(addfst, "add(s(0),0)"), (tt, TraceTerm("b1", (1,), Subst())))
+    assert repr(pair) == "<add(s(0),0), [b3(2.1.12, {y -> s(0)}, [b1(e, {})]), b1(1, {})]>"
 
 
 def test_unknown_label_raises(addfst):
@@ -729,6 +746,84 @@ def test_parse_trace_matches_reference_on_mutated_traces():
     for kind in ("ok", "bad position syntax", "position indices are 1-based", "expected RPAREN",
                  "unexpected character", "unexpected end of input", "trailing input"):
         assert any(o.startswith(kind) for o in outcomes), kind
+
+
+# --- printing and reading each position from the one before it ----------------
+#
+# Both sides reuse the text of the last new position up to the prefix it
+# shares with the next one. The traces below walk from one position to the
+# next by the moves of a run (repeat, parent, child, sibling, jump), with
+# indices whose digits share prefixes, and nest sub-traces, which are printed
+# between their trace term and the next.
+
+INDICES = st.one_of(st.sampled_from([1, 2, 3, 10, 12, 21, 100, 123]), st.integers(1, 10**6))
+# What follows a cut of the last position's text in a mutated position: an
+# empty last index (`1.`), an empty index (`1..2`), index 0, leading zeros,
+# `_`, whitespace around dots, and an index too long for `int`.
+POSITION_TAILS = (
+    "", ".", "..2", ".0", "0", "00", ".03", "0.1", "_", "_1", "1_", " . 3", ". 3", " .3",
+    " ", "\t.\n4", "3", ".1" * 3, "." + "1" * 5000, "1" * 5000,
+)
+
+
+def _walk(draw, here):
+    move = draw(st.sampled_from(["same", "parent", "child", "sibling", "jump", "cut"]))
+    if move == "parent":
+        return here[:-1]
+    if move == "child":
+        return here + tuple(draw(st.lists(INDICES, min_size=1, max_size=3)))
+    if move == "sibling" and here:
+        return here[:-1] + (draw(INDICES),)
+    if move == "jump":
+        return tuple(draw(st.lists(INDICES, max_size=12)))
+    if move == "cut":
+        k = draw(st.integers(0, len(here)))
+        return here[:k] + tuple(draw(st.lists(INDICES, max_size=3)))
+    return here
+
+
+@st.composite
+def walked_traces(draw):
+    recorded = (Subst(), parse_trace("[b(e, {x -> s(0)})]")[0].recorded)
+    here = ()
+
+    def trace(depth):
+        nonlocal here
+        items = []
+        for _ in range(draw(st.integers(0, 6))):
+            here = _walk(draw, here)
+            position = here
+            subs = [trace(depth + 1) for _ in range(draw(st.integers(0, 2 if depth < 2 else 0)))]
+            items.append(TraceTerm("b1", position, draw(st.sampled_from(recorded)), tuple(subs)))
+        return tuple(items)
+
+    return trace(0)
+
+
+@examples(300)
+@given(walked_traces(), st.data())
+def test_positions_printed_and_read_from_the_last_match_the_references(trace, data):
+    from revrw.reversible import _read_printed
+
+    text = format_trace(trace)
+    assert text == ref_format_trace(trace)
+    assert parse_trace(text) == trace == ref_parse_trace(text)
+    # One position rewritten as a cut of the position printed before it and
+    # a tail, read after that position.
+    spans = list(re.finditer(r"b1\((e|[0-9.]+), \{", text))
+    if len(spans) < 2:
+        return
+    i = data.draw(st.integers(1, len(spans) - 1))
+    last = spans[i - 1].group(1)
+    cut = last[: data.draw(st.integers(0, len(last)))]
+    position = cut + data.draw(st.sampled_from(POSITION_TAILS))
+    mutated = text[: spans[i].start(1)] + position + text[spans[i].end(1) :]
+    want = _parse_outcome(ref_parse_trace, mutated)
+    assert _parse_outcome(parse_trace, mutated) == want
+    got = _read_printed(mutated)
+    assert (got is None) == (want[0] == "raise")
+    if got is not None:
+        assert got == want[1]
 
 
 # --- traces nested past the recursion limit -----------------------------------

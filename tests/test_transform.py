@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,7 @@ from .oracles import (
     ref_basic_position,
     ref_encode_trace,
     ref_range_disjoint,
+    ref_pipeline_measure,
     ref_to_pcdctrs,
     systems_isomorphic,
 )
@@ -316,6 +318,48 @@ def _pipeline_inputs():
         else:
             text = synthetic_system(rng, rng.randint(5, 40), infeasible=False)
         yield pytest.param(text, id=f"synthetic-{seed}")
+
+
+def _measured_inputs():
+    for path in sorted(CORPUS_DIR.glob("*.trs")):
+        yield pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+    yield pytest.param(CRAFTED_DELETIONS, id="crafted")
+    for functions in (5, 10, 20, 40):
+        for infeasible in (False, True):
+            text = synthetic_system(random.Random(functions), functions, infeasible)
+            yield pytest.param(text, id=f"synthetic-{functions}-{infeasible}")
+
+
+@pytest.mark.parametrize("text", list(_measured_inputs()))
+def test_pipeline_stages_stay_within_the_measure(text):
+    # 10 to 100 rules in the synthetic systems, restarts after deletions in
+    # the crafted and infeasible ones.
+    system = parse_system(text)
+    _, report = to_pcdctrs(system)
+    assert len(report.stages) <= ref_pipeline_measure(system)
+
+
+def test_a_stage_count_past_the_measure_keeps_the_error_text(monkeypatch):
+    # With no defined symbol counted, the measure (2 rules) leaves no room
+    # for the four flattenings of f's rhs, and the pipeline reports a defect.
+    system = parse_system("(VAR x)(RULES g(x) -> x\n f(x) -> g(g(g(g(x)))))")
+    assert len(to_pcdctrs(system)[1].stages) == 4
+    monkeypatch.setattr(transform, "_count_defined", lambda t: 0)
+    with pytest.raises(RevrwError, match=r"^pcDCTRS pipeline did not terminate$"):
+        to_pcdctrs(system)
+
+
+# The printed PipelineReport of each corpus system, one file per system.
+REPORTS_DIR = Path(__file__).resolve().parent / "golden" / "reports"
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_DIR.glob("*.trs")), ids=lambda p: p.name)
+def test_pipeline_report_text_matches_its_golden(path):
+    _, report = to_pcdctrs(parse_system(path.read_text(encoding="utf-8")))
+    text = str(report)
+    assert text == (REPORTS_DIR / f"{path.stem}.txt").read_text(encoding="utf-8")
+    if not report.stages:
+        assert text == "(no transformation steps)\n"
 
 
 @pytest.mark.parametrize("text", list(_pipeline_inputs()))
@@ -610,6 +654,13 @@ def test_encode_trace_rejects_non_root_positions(addfst):
     tt = TraceTerm("b2", (1,), Subst())
     with pytest.raises(UnsafeTrace):
         encode_trace(addfst, tt)
+
+
+def test_encode_trace_rejects_an_unsafe_trace_with_its_findings(addmult):
+    # Checked for safety before it is encoded: b4 has two conditions.
+    pc, _ = to_pcdctrs(addmult)
+    with pytest.raises(UnsafeTrace, match=r"^b4: 0 sub-traces for 2 conditions$"):
+        encode_trace(pc, (TraceTerm("b4", (), Subst()),))
 
 
 def _nested(trace, path=()):
