@@ -211,9 +211,11 @@ class _Engine:
     the derivations of those before it). Solving a condition pushes a level
     for the instantiated condition lhs; when that level reaches a normal
     form it pops, and its parent matches the condition rhs against the
-    value. A failed match moves the parent on to its next rule program; once
-    the last condition holds, the parent plants the rhs and spends the
-    step."""
+    value. A closed lhs is first tried against its root's programs: if none
+    matches, or the first that does has no conditions and builds a
+    constructor term, that is the value, with no level pushed. A failed
+    match moves the parent on to its next rule program; once the last
+    condition holds, the parent plants the rhs and spends the step."""
 
     __slots__ = ("system", "record", "constructor", "top", "any_node")
 
@@ -269,6 +271,8 @@ class _Engine:
         n = len(programs)
         depth = 0
         found: list[StepWitness] = []
+        # Once known, the value of program's condition c (its steps: sub).
+        value = None
         while True:
             if program is None:
                 # The rule programs left at node, tried in turn.
@@ -309,15 +313,17 @@ class _Engine:
                     depth -= 1
                     n = len(programs)
                     program = programs[k]
-                    if value.__class__ is not App or not value.ground:
-                        raise NotGround(f"match subject must be ground: {format_term(value)}")
-                    if not program.conditions[c][2](value, slots, constructor):
-                        program = None
-                        k += 1
-                        continue
-                    if record:
-                        derivations.append(tuple(sub))
-                    c += 1
+            if value is not None:
+                if value.__class__ is not App or not value.ground:
+                    raise NotGround(f"match subject must be ground: {format_term(value)}")
+                if not program.conditions[c][2](value, slots, constructor):
+                    value = program = None
+                    k += 1
+                    continue
+                value = None
+                if record:
+                    derivations.append(tuple(sub))
+                c += 1
             # The lhs of program matched and its conditions before c hold.
             conditions = program.conditions
             if c < len(conditions):
@@ -328,13 +334,8 @@ class _Engine:
                         f"rule {program.rule.label}: condition lhs {format_term(term)} is not "
                         "ground under the accumulated substitution (system is not deterministic)"
                     )
-                parents.append((cursor, steps, node, programs, k, slots, c, derivations))
-                depth += 1
-                steps = []
-                k, program = 0, None
-                # A closed term (its root defined, and under top or its
-                # arguments constructor terms) is its own first candidate,
-                # and needs no cursor while no step has changed it.
+                # A closed term (root defined; under top or its arguments
+                # constructor terms) is its own first candidate: tried here.
                 closed = term.symbol.kind == DEFINED
                 if closed and not top:
                     for a in term.args:
@@ -342,12 +343,41 @@ class _Engine:
                             closed = False
                             break
                 if closed:
-                    cursor, node = None, term
-                    programs = table.get(term.symbol.name, ())
-                    n = len(programs)
+                    leaf = table.get(term.symbol.name, ())
+                    for p in leaf:
+                        s = p.lhs(term, constructor)
+                        if s is not None:
+                            break
+                    else:
+                        value, sub = term, ()  # the call is its own value
+                        continue
+                    if depth >= max_depth - 1:
+                        raise BoundExceeded("condition evaluation depth bound exceeded")
+                    if p.conditions:
+                        # p pending, and no cursor until a step changes term.
+                        parents.append((cursor, steps, node, programs, k, slots, c, derivations))
+                        depth += 1
+                        steps, derivations, cursor, node = [], [], None, term
+                        programs, n, k, program, slots, c = leaf, len(leaf), leaf.index(p), p, s, 0
+                        continue
+                    # p's step; a constructor term it leaves is the value.
+                    term = p.rhs(s)
+                    sub = [StepWitness._in_context(None, p, s, term, ())] if record else []
+                    if steps_left <= 0:
+                        raise BoundExceeded("step bound exceeded")
+                    steps_left -= 1
+                    if term.__class__ is App and term.constructor:
+                        value = term
+                        continue
+                    pattern = p.rule.rhs
                 else:
-                    cursor = _Cursor(term, top, any_node)
-                    programs, n = (), 0
+                    sub, pattern = [], None
+                parents.append((cursor, steps, node, programs, k, slots, c, derivations))
+                depth += 1
+                steps = sub
+                cursor = _Cursor(term, top, any_node)
+                cursor.pattern = pattern
+                programs, n, k, program = (), 0, 0, None
                 continue
             # The rule applies at node.
             if depth or mode == _NORMALIZE:

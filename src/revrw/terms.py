@@ -45,16 +45,16 @@ class App:
     variable occurs in it) and `constructor` (every symbol in it is a
     constructor; variables may occur).
 
-    Instances are immutable: `__init__` writes the slots through their own
-    descriptors, and assigning or deleting an attribute raises, as on a
-    frozen dataclass. Equality and hashing walk the term with an explicit
-    stack, so terms of any depth compare and hash; shared subterms compare
-    by identity."""
+    Every node is built by `assemble`, which fills the slots of `_Open`, a
+    writable twin of App, and then makes it an App: assigning or deleting an
+    attribute of an App raises, as on a frozen dataclass. Equality and
+    hashing walk the term with an explicit stack, so terms of any depth
+    compare and hash; shared subterms compare by identity."""
 
     __slots__ = ("symbol", "args", "ground", "constructor")
     __match_args__ = ("symbol", "args")
 
-    def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()):
+    def __new__(cls, symbol: Symbol, args: tuple["Term", ...] = ()) -> "App":
         if args.__class__ is not tuple:
             args = tuple(args)
         if len(args) != symbol.arity:
@@ -69,10 +69,7 @@ class App:
                     constructor = False
             else:
                 ground = False
-        _set_symbol(self, symbol)
-        _set_args(self, args)
-        _set_ground(self, ground)
-        _set_constructor(self, constructor)
+        return assemble(symbol, args, ground, constructor)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -126,24 +123,27 @@ class App:
         return format_term(self)
 
 
-# The slots' own setters, which skip App.__setattr__.
-_set_symbol = App.symbol.__set__
-_set_args = App.args.__set__
-_set_ground = App.ground.__set__
-_set_constructor = App.constructor.__set__
+class _Open:
+    """App's writable twin, with the same slots (see `assemble`)."""
+
+    __slots__ = App.__slots__
+
+
 _new = object.__new__
 
 
 def assemble(symbol: Symbol, args: tuple["Term", ...], ground: bool, constructor: bool) -> App:
     """The App of symbol over args with the given flags, unchecked: args is
     a tuple of the symbol's arity, and the flags are those App would work
-    out. Generated builders (`revrw.programs`) call it with flags they
-    derive from their rule."""
-    t = _new(App)
-    _set_symbol(t, symbol)
-    _set_args(t, args)
-    _set_ground(t, ground)
-    _set_constructor(t, constructor)
+    out. Every node is built here, for `App(...)` and for generated builders
+    (`revrw.programs`): plain stores fill an `_Open`, which then becomes an
+    App."""
+    t = _new(_Open)
+    t.symbol = symbol
+    t.args = args
+    t.ground = ground
+    t.constructor = constructor
+    t.__class__ = App
     return t
 
 

@@ -366,6 +366,17 @@ def ref_is_constructor_term(t: Term) -> bool:
     return True
 
 
+def ref_flags(t: Term) -> tuple[bool, bool]:
+    """The `ground` and `constructor` flags of t, worked out from its
+    symbols' kinds and its variables, recursively, reading no cached flag
+    (a variable is a constructor term, and not ground)."""
+    if isinstance(t, Var):
+        return False, True
+    flags = [ref_flags(a) for a in t.args]
+    ground = all(g for g, _ in flags)
+    return ground, t.symbol.kind != DEFINED and all(c for _, c in flags)
+
+
 def _ref_is_constructor_subst(sigma: Subst) -> bool:
     return all(ref_is_constructor_term(t) for _, t in sigma.items())
 

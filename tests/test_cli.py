@@ -255,6 +255,19 @@ def test_trace_binding_a_variable_twice_is_a_usage_failure(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command, steps, message",
+    [
+        ("rewrite", "abc", "--steps expects a number or 'normal', got 'abc'"),
+        ("rewrite", "-1", "--steps must be non-negative"),
+        ("forward", "1.5", "--steps expects a number or 'normal', got '1.5'"),
+    ],
+)
+def test_bad_steps_are_a_usage_failure(capsys, command, steps, message):
+    code, out, err = run(capsys, command, DOUBLE, "--term", "double(s(0))", "--steps", steps)
+    assert code == 2 and not out and err == f"revrw: parse error: {message}\n"
+
+
 def test_missing_file_is_usage_failure(capsys):
     code, _, err = run(capsys, "check", "no-such-file.trs")
     assert code == 2

@@ -22,6 +22,8 @@ import random
 import re
 import tokenize
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,8 +36,10 @@ from revrw import (
     Condition,
     Pair,
     PreconditionViolated,
+    RevrwError,
     RewriteSystem,
     Rule,
+    StepWitness,
     Subst,
     Symbol,
     Term,
@@ -44,11 +48,16 @@ from revrw import (
     Var,
     backward_run,
     first_step,
+    format_term,
+    format_trace,
     forward_run,
+    injectivize,
+    invert,
     match,
     normalize,
     parse_system,
     parse_term,
+    parse_trace,
     positions,
     replace,
     safety_domain,
@@ -59,12 +68,14 @@ from revrw import (
 from revrw.programs import RuleProgram
 from revrw.rewrite import STRATEGIES, normalize_traced
 from revrw.terms import CONSTRUCTOR, DEFINED
+from revrw.transform import injective_name, inverse_name
 
 from .conftest import CORPUS_DIR, examples, load
 from .oracles import (
     SEARCH_BOUNDS,
     ref_backward_run,
     ref_first_step,
+    ref_flags,
     ref_forward_run,
     ref_normalize_traced,
     ref_step,
@@ -275,16 +286,16 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
     # step that rebuilt the path to the root would make the App builds of a
     # run grow with n squared (16x from n = 100 to 400); the open spine and
     # the backward zipper keep them linear. Every App is built by
-    # App.__init__ or by terms.assemble (generated builders), and each of
-    # them writes the symbol slot once, through terms._set_symbol: that is
-    # what is counted.
-    original = revrw.terms._set_symbol
+    # terms.assemble, which App(...) calls once it has worked out the flags
+    # and generated builders call directly, and each build takes its node
+    # from terms._new: that is what is counted.
+    original = revrw.terms._new
     count = 0
 
-    def counting(self, symbol):
+    def counting(cls):
         nonlocal count
         count += 1
-        original(self, symbol)
+        return original(cls)
 
     def builds(n: int) -> list[int]:
         nonlocal count
@@ -292,7 +303,7 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
         term = App(addmult.signature["add"], (x, x))
         counts = []
         with monkeypatch.context() as m:
-            m.setattr(revrw.terms, "_set_symbol", counting)
+            m.setattr(revrw.terms, "_new", counting)
             count = 0
             nf, _ = normalize_traced(addmult, term, "innermost")
             counts.append(count)
@@ -307,7 +318,7 @@ def test_app_builds_grow_linearly_with_redex_depth(addmult, monkeypatch):
 
     small, large = builds(100), builds(400)
     for call, a, b in zip(("normalize_traced", "forward_run", "backward_run"), small, large):
-        assert b <= 4.2 * a, (call, a, b)
+        assert 0 < a and b <= 4.2 * a, (call, a, b)
     # forward_run takes its final term from the search that closed it.
     assert large[1] <= large[0]
 
@@ -830,3 +841,214 @@ def test_witnesses_nested_past_the_recursion_limit_compare_hash_and_print():
     assert text.count("StepWitness(") == depth + 1
     assert text.startswith("StepWitness(position=(), rule_label='b2', ")
     assert text.endswith("sub_witnesses=())" + ",),))" * depth)
+
+
+# --- closed condition calls answered without a level -------------------------
+#
+# A closed condition lhs is tried against its root symbol's rules at once:
+# when none applies, or the first that applies has no conditions and leaves
+# a constructor term, the value is matched with no level pushed. These
+# tests pin that path against the reference at its bounds.
+
+
+def _pc_view() -> RewriteSystem:
+    return to_pcdctrs(load("view.trs"))[0]
+
+
+def _nesting(witnesses) -> tuple[int, str]:
+    """The deepest nesting of a recorded step and the rule it applied."""
+    deepest = (0, witnesses[0].rule_label)
+    stack = [(w, 0) for w in witnesses]
+    while stack:
+        w, d = stack.pop()
+        deepest = max(deepest, (d, w.rule_label))
+        stack.extend((sub, d + 1) for steps in w.sub_witnesses for sub in steps)
+    return deepest
+
+
+def _leaf_cases():
+    pc = _pc_view()
+    book = App(pc.signature["book"])
+    view = App(pc.signature["view"], (book, _records(pc, 4)))
+    add = _pc_addmult()
+    return [(pc, view), (add, _pc_add(add, 3))]
+
+
+def test_leaf_calls_meet_the_depth_bound_as_the_reference_does():
+    # The deepest step of each run applies a condition-free rule (view's
+    # eq, val or view(t,nil); add(0,y)), so with max_depth one below what
+    # the run needs, the bound falls on a leaf call.
+    for system, term in _leaf_cases():
+        _, steps = normalize_traced(system, term, "constructor")
+        depth, label = _nesting(steps)
+        assert not system.rule_by_label(label).conditions
+        for max_depth in (depth - 1, depth, depth + 1, depth + 2):
+            bounds = Bounds(max_depth=max_depth)
+            for strategy in STRATEGIES:
+                got = _outcome(normalize_traced, system, term, strategy, bounds)
+                assert got == _outcome(ref_normalize_traced, system, term, strategy, bounds)
+                if max_depth <= depth:
+                    assert got == ("raise", BoundExceeded, "condition evaluation depth bound exceeded")
+                else:
+                    assert got[0] == "ok"
+
+
+def test_leaf_steps_meet_the_step_bound_as_the_reference_does():
+    # The first step spent on the view is eq(book,book) -> true, a leaf
+    # call, so max_steps 1 runs out on the next leaf, val(r(book,0)) -> 0.
+    for system, term in _leaf_cases():
+        _, steps = normalize_traced(system, term, "constructor")
+        total = len(_flat_steps(steps))
+        for max_steps in range(1, total + 1):
+            bounds = Bounds(max_steps=max_steps)
+            for strategy in STRATEGIES:
+                got = _outcome(normalize_traced, system, term, strategy, bounds)
+                assert got == _outcome(ref_normalize_traced, system, term, strategy, bounds)
+                if max_steps < total:
+                    assert got == ("raise", BoundExceeded, "step bound exceeded"), (max_steps, strategy)
+    pc, view = _leaf_cases()[0]
+    first = _flat_steps(normalize_traced(pc, view, "constructor")[1])[0]
+    assert first.rule_label == "b4" and not pc.rule_by_label("b4").conditions
+
+
+def _flat_steps(witnesses) -> list[StepWitness]:
+    """Every recorded step, sub-steps included, in the order they were spent."""
+    out = []
+    stack = [(w, False) for w in reversed(witnesses)]
+    while stack:
+        w, done = stack.pop()
+        if done:
+            out.append(w)
+            continue
+        stack.append((w, True))
+        stack.extend((sub, False) for steps in reversed(w.sub_witnesses) for sub in reversed(steps))
+    return out
+
+
+def test_view_witnesses_match_the_reference_on_the_pcdctrs_and_its_inverse():
+    pc = _pc_view()
+    forward = injectivize(pc)
+    backward = invert(forward)
+    fi = forward.signature[injective_name("view")]
+    inv = backward.signature[inverse_name("view")]
+    kinds, sources = view_sources(pc)
+    for source in sources[::41]:
+        for kind in kinds:
+            calls = [(pc, App(pc.signature["view"], (kind, source)))]
+            pair = normalize(forward, App(fi, (kind, source)), "constructor")
+            calls += [(forward, App(fi, (kind, source))), (backward, App(inv, pair.args))]
+            for system, term in calls:
+                for strategy in STRATEGIES:
+                    got = _outcome(normalize_traced, system, term, strategy, Bounds())
+                    assert got == _outcome(ref_normalize_traced, system, term, strategy, Bounds())
+                    assert got[0] == "ok"
+
+
+def test_a_closed_call_no_rule_matches_is_its_own_value():
+    system = parse_system("(VAR x y)(RULES f(x) -> y | g(x) == y  g(s(x)) -> x)")
+    term = parse_term("f(0)", system)
+    for strategy in STRATEGIES:
+        assert_same_engine(system, term, strategy, Bounds())
+    nf, steps = normalize_traced(system, term, "innermost")
+    assert format_term(nf) == "g(0)" and steps[0].sub_witnesses == ((),)
+    # The constructor strategy binds y to constructor terms only.
+    assert normalize_traced(system, term, "constructor") == (term, [])
+
+
+def test_a_condition_free_rule_whose_rhs_is_not_a_constructor_term_takes_a_level():
+    system = parse_system(
+        "(VAR x y)(RULES f(x) -> y | g(x) == y  g(x) -> h(x)  h(x) -> s(x)  k(x) -> x "
+        "e(x) -> y | k(x) == y)"
+    )
+    # g(0) -> h(0) is one step, and h(0) -> s(0) the next; under top,
+    # k(h(0)) -> h(0) leaves a call too.
+    for text in ("f(0)", "e(h(0))", "c(f(s(0)),e(h(0)))"):
+        term = parse_term(text, system)
+        for strategy in STRATEGIES:
+            assert_same_engine(system, term, strategy, Bounds())
+            for max_steps in (1, 2):
+                assert_same_engine(system, term, strategy, Bounds(max_steps=max_steps))
+            assert_same_engine(system, term, strategy, Bounds(max_depth=1))
+    _, steps = normalize_traced(system, parse_term("f(0)", system), "innermost")
+    assert [w.rule_label for w in steps[0].sub_witnesses[0]] == ["b2", "b3"]
+    _, steps = normalize_traced(system, parse_term("e(h(0))", system), "top")
+    assert [w.rule_label for w in steps[0].sub_witnesses[0]] == ["b4", "b3"]
+
+
+# --- every node an App ------------------------------------------------------
+#
+# A node is built on a writable twin class and then made an App; none may
+# leave the library as anything else, or with flags other than its own.
+
+
+def _reachable_apps(*roots) -> list[App]:
+    """Every distinct App reachable from the roots: terms, witnesses (their
+    results and bindings), pairs and traces, systems and their rules."""
+    seen: dict[int, App] = {}
+    stack = list(roots)
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            if id(u) not in seen:
+                seen[id(u)] = u
+                stack.extend(u.args)
+        elif isinstance(u, (tuple, list)):
+            stack.extend(u)
+        elif isinstance(u, Subst):
+            stack.extend(t for _, t in u.items())
+        elif isinstance(u, StepWitness):
+            stack += [u.result, u.sigma, u.sub_witnesses]
+        elif isinstance(u, Pair):
+            stack += [u.term, u.trace]
+        elif isinstance(u, TraceTerm):
+            stack += [u.recorded, u.sub_traces]
+        elif isinstance(u, RewriteSystem):
+            for rule in u.rules:
+                stack += [rule.lhs, rule.rhs]
+                stack.extend(side for c in rule.conditions for side in (c.lhs, c.rhs))
+        else:
+            assert u is None or isinstance(u, Var), u
+    return list(seen.values())
+
+
+def _assert_frozen_apps(*roots) -> int:
+    nodes = _reachable_apps(*roots)
+    for t in nodes:
+        assert t.__class__ is App, t.__class__
+        assert (t.ground, t.constructor) == ref_flags(t), t
+        with pytest.raises(FrozenInstanceError):
+            t.args = ()
+        with pytest.raises(FrozenInstanceError):
+            del t.symbol
+    return len(nodes)
+
+
+def _or_none(call, *args):
+    try:
+        return call(*args)
+    except RevrwError:
+        return None
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_no_writable_node_escapes(name):
+    system = SYSTEM_OF[name]
+    rng = random.Random(name)
+    checked = 0
+    for term in (random_term(system, rng, MAX_DEPTH) for _ in range(SEEDED_TERMS)):
+        outputs = [parse_term(format_term(term), system)]
+        for strategy in STRATEGIES:
+            outputs.append(_or_none(normalize_traced, system, term, strategy))
+            pair = _or_none(forward_run, system, Pair(term), strategy)
+            if pair is not None:
+                outputs += [pair, parse_trace(format_trace(pair.trace)), backward_run(system, pair)]
+        checked += _assert_frozen_apps(outputs)
+    pc = system if system.is_pcdctrs else to_pcdctrs(system)[0]
+    forward = injectivize(pc)
+    checked += _assert_frozen_apps(pc, forward, invert(forward))
+    if name == "view.trs":
+        kinds, sources = view_sources(pc)
+        for source in sources[::29]:
+            view = normalize(pc, App(pc.signature["view"], (kinds[0], source)), "constructor")
+            checked += _assert_frozen_apps(view_update(pc, (kinds[0], source), view))
+    assert checked > 100

@@ -222,6 +222,15 @@ def test_step_rejects_non_ground_terms(addfst):
         step(addfst, addfst.signature["add"](Var("x"), Var("y")))
 
 
+def test_unknown_strategy_is_a_value_error(double_sys):
+    term = parse_term("double(s(0))", double_sys)
+    message = "unknown strategy 'outermost'; expected one of ('any', 'innermost', 'constructor', 'top')"
+    for call in (step, first_step, normalize):
+        with pytest.raises(ValueError) as err:
+            call(double_sys, term, "outermost")
+        assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_bounds_must_be_positive():
     with pytest.raises(ValueError):
         Bounds(max_steps=0)

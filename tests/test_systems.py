@@ -100,6 +100,29 @@ def test_parse_variable_applied_is_an_error():
         parse_system("(VAR x)(RULES f(x) -> x(0))")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(COMMENT never closed (RULES f(x) -> x)", "unterminated (COMMENT section"),
+        ("(VAR x)(CONDITIONTYPE JOIN)(RULES f(x) -> x)", "unsupported condition type 'JOIN' (line 1, column 23)"),
+        ("(VAR x)(RULES f(x) -> x)\n(RULES g(x) -> x)", "duplicate (RULES section (line 2, column 1)"),
+        ("(VAR x)(STRATEGY INNERMOST)(RULES f(x) -> x)", "unknown section 'STRATEGY' (line 1, column 9)"),
+        ("(VAR x)(RULES f(0) -> 0\n  x -> f(x))", "rule left-hand side is a variable (line 2, column 3)"),
+    ],
+    ids=["unterminated-comment", "condition-type", "duplicate-rules", "unknown-section", "variable-lhs"],
+)
+def test_parse_system_rejects_malformed_sections(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert type(err.value) is ParseError and str(err.value) == message
+
+
+def test_parse_term_wants_exactly_one_term():
+    with pytest.raises(ParseError) as err:
+        parse_term("f(0), g(0)")
+    assert type(err.value) is ParseError and str(err.value) == "expected one term, found 2"
+
+
 def test_comment_sections_are_ignored():
     system = parse_system(
         "(COMMENT anything at all, even (nested) parens & *junk*!)\n"

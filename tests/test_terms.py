@@ -29,10 +29,10 @@ from revrw import (
     to_pcdctrs,
     unify,
 )
-from revrw.terms import DEFINED
+from revrw.terms import DEFINED, assemble
 
 from .conftest import CORPUS_DIR, examples, load
-from .oracles import ground_unifiers, ref_apply, ref_is_constructor_term, ref_positions, ref_unify
+from .oracles import ground_unifiers, ref_apply, ref_flags, ref_is_constructor_term, ref_positions, ref_unify
 
 ZERO = Symbol("0", 0)
 S = Symbol("s", 1)
@@ -267,6 +267,20 @@ def test_constructor_flag_matches_reference(t):
     assert_constructor_flags(t)
     sigma = Subst({"v": t, "w": zero})
     assert sigma.is_constructor == ref_is_constructor_term(t)
+
+
+@given(st.sampled_from([ZERO, S, C, F, Symbol("tuple#2", 2), Symbol("k", 0, DEFINED)]), st.data())
+def test_assemble_builds_what_app_builds(symbol, data):
+    # App(...) checks its arguments and works out the flags; assemble takes
+    # them as given. Both must make the same frozen node.
+    args = tuple(data.draw(flagged_terms) for _ in range(symbol.arity))
+    made = App(symbol, args)
+    flags = ref_flags(made)
+    built = assemble(symbol, args, *flags)
+    assert made.__class__ is App and built.__class__ is App
+    assert (made.ground, made.constructor) == (built.ground, built.constructor) == flags
+    assert made == built and built == made and hash(made) == hash(built)
+    assert built.symbol is symbol and built.args is args
 
 
 def test_constructor_flag_matches_reference_on_the_corpus():

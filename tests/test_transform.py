@@ -22,6 +22,7 @@ from revrw import (
     TraceTerm,
     UnsafeTrace,
     UpdateFailed,
+    ViewFailed,
     encode_trace,
     flatten_condition,
     flatten_rhs,
@@ -802,3 +803,40 @@ def test_compile_chain_validates_the_pcdctrs_once(monkeypatch):
         pc, _ = to_pcdctrs(load(name))
         invert(injectivize(pc))
         assert calls.count("pcdctrs") == 1, name
+
+
+# --- view_update's rejections -------------------------------------------------
+
+VIEW_CALLS = [
+    ("empty-system", None, ("book", "cons(r(book,0),nil)"), "cons(0,nil)", {}, PreconditionViolated,
+     "empty system"),
+    ("unknown-function", "pc", ("book", "cons(r(book,0),nil)"), "cons(0,nil)", {"function": "nope"},
+     ViewFailed, "'nope' is not a defined function of the system"),
+    ("constructor-function", "pc", ("book", "cons(r(book,0),nil)"), "cons(0,nil)", {"function": "cons"},
+     ViewFailed, "'cons' is not a defined function of the system"),
+    ("argument-count", "pc", ("book",), "cons(0,nil)", {}, ViewFailed, "view takes 2 arguments, got 1"),
+    ("non-ground-argument", "pc", ("book", "cons(r(book,x),nil)"), "cons(0,nil)", {}, ViewFailed,
+     "argument cons(r(book,x),nil) is not a ground constructor term"),
+    ("non-constructor-argument", "pc", ("book", "cons(r(book,val(r(book,0))),nil)"), "cons(0,nil)", {},
+     ViewFailed, "argument cons(r(book,val(r(book,0))),nil) is not a ground constructor term"),
+    ("non-ground-new-view", "pc", ("book", "cons(r(book,0),nil)"), "cons(x,nil)", {}, ViewFailed,
+     "new view cons(x,nil) is not a ground constructor term"),
+    # No eq rule compares book with cd, so view^i is stuck on its call.
+    ("no-view-trace-pair", "pc", ("book", "cons(r(cd,0),nil)"), "cons(0,nil)", {}, ViewFailed,
+     "view^i(book, cons(r(cd,0),nil)) reduced to view^i(book,cons(r(cd,0),nil)), not a (view, trace) pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "system, args, new_view, options, error, message",
+    [case[1:] for case in VIEW_CALLS],
+    ids=[case[0] for case in VIEW_CALLS],
+)
+def test_view_update_rejects_what_it_cannot_update(view_sys, system, args, new_view, options, error, message):
+    pc = to_pcdctrs(view_sys)[0]
+    args = tuple(parse_term(a, pc, variables=["x"]) for a in args)
+    new_view = parse_term(new_view, pc, variables=["x"])
+    system = pc if system == "pc" else RewriteSystem([])
+    with pytest.raises(error) as caught:
+        view_update(system, args, new_view, **options)
+    assert type(caught.value) is error and str(caught.value) == message
