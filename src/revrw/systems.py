@@ -20,6 +20,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import is_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -99,8 +100,11 @@ class RewriteSystem:
     """An ordered rule sequence with a classified signature.
 
     Construction classifies every symbol (defined = root of some lhs, else a
-    constructor) and rebuilds the rule terms so each node carries its final
-    symbol kind. No other code assigns a kind.
+    constructor) and rebinds the rule terms so each node carries its name's
+    one symbol, of its final kind. No other code assigns a kind. A symbol
+    already of its final kind is kept, so a system built from another's
+    rules shares its symbols, subterms and, where nothing changes, its
+    `Rule` objects.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -113,21 +117,7 @@ class RewriteSystem:
 
         defined = {r.lhs.symbol.name for r in rules}
         signature: dict[str, Symbol] = {}
-        self.rules: tuple[Rule, ...] = tuple(
-            Rule(
-                r.label,
-                _rebind(r.lhs, signature, defined),
-                _rebind(r.rhs, signature, defined),
-                tuple(
-                    Condition(
-                        _rebind(c.lhs, signature, defined),
-                        _rebind(c.rhs, signature, defined),
-                    )
-                    for c in r.conditions
-                ),
-            )
-            for r in rules
-        )
+        self.rules: tuple[Rule, ...] = tuple(_rebind_rule(r, signature, defined) for r in rules)
         self.signature: dict[str, Symbol] = signature
         self.defined_symbols: frozenset[str] = frozenset(defined)
         self._by_label = {r.label: r for r in self.rules}
@@ -231,34 +221,65 @@ def _rule_terms(r: Rule) -> Iterator[Term]:
         yield c.rhs
 
 
+def _rebind_rule(r: Rule, signature: dict[str, Symbol], defined: set[str]) -> Rule:
+    """r with its terms rebound (see `_rebind`) in the order `_rule_terms`
+    yields them; r itself if each comes back as it was."""
+    terms = [_rebind(t, signature, defined) for t in _rule_terms(r)]
+    if all(map(is_, terms, _rule_terms(r))):
+        return r
+    lhs, rhs, *sides = terms
+    return Rule(r.label, lhs, rhs, tuple(map(Condition, sides[::2], sides[1::2])))
+
+
 def _rebind(t: Term, signature: dict[str, Symbol], defined: set[str]) -> Term:
-    """t with each symbol replaced by its classified one: defined if its name
-    is in `defined`, else a constructor. A name met for the first time enters
-    the signature, so the signature lists names in the order this walk meets
-    them: root first, arguments right to left."""
+    """t with each symbol replaced by its name's entry in the signature.
+
+    A first walk builds nothing. A name met for the first time enters the
+    signature: the symbol met, if its kind is the one its name is classified
+    as (defined if the name is in `defined`, else a constructor), else a new
+    symbol of that kind. So the signature lists names in the order the walk
+    meets them: root first, arguments right to left. If every node's symbol
+    is its entry, t comes back as it is; if only the root's is not, only the
+    root node is new. Otherwise the whole term is rebuilt."""
+    if t.__class__ is Var:
+        return t
+    stale_below = False
+    stack: list[Term] = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            sym = u.symbol
+            bound = signature.get(sym.name)
+            if bound is not sym:
+                if bound is None:
+                    kind = DEFINED if sym.name in defined else CONSTRUCTOR
+                    bound = sym if sym.kind == kind else Symbol(sym.name, sym.arity, kind)
+                    signature[sym.name] = bound
+                elif bound.arity != sym.arity:
+                    raise ArityConflict(
+                        f"symbol {sym.name!r} used with arities {bound.arity} and {sym.arity}"
+                    )
+                if bound is not sym and u is not t:
+                    stale_below = True
+            stack.extend(u.args)
+    if not stale_below:
+        root = signature[t.symbol.name]
+        return t if root is t.symbol else App(root, t.args)
     done: list[Term] = []
     # Terms to rebuild, and symbols whose arguments are the last in `done`,
     # rightmost argument first.
-    stack: list[Term | Symbol] = [t]
-    while stack:
-        u = stack.pop()
+    todo: list[Term | Symbol] = [t]
+    while todo:
+        u = todo.pop()
         if u.__class__ is Var:
             done.append(u)
         elif u.__class__ is App:
-            sym = u.symbol
-            bound = signature.get(sym.name)
-            if bound is None:
-                kind = DEFINED if sym.name in defined else CONSTRUCTOR
-                bound = signature[sym.name] = Symbol(sym.name, sym.arity, kind)
-            elif bound.arity != sym.arity:
-                raise ArityConflict(
-                    f"symbol {sym.name!r} used with arities {bound.arity} and {sym.arity}"
-                )
+            bound = signature[u.symbol.name]
             if u.args:
-                stack.append(bound)
-                stack.extend(u.args)
+                todo.append(bound)
+                todo.extend(u.args)
             else:
-                done.append(App(bound, ()))
+                done.append(u if u.symbol is bound else App(bound, ()))
         else:
             k = len(done) - u.arity
             args = tuple(reversed(done[k:]))
@@ -721,10 +742,7 @@ def format_rule(rule: Rule) -> str:
 def format_system(system: RewriteSystem) -> str:
     """Inverse of parse_system up to structural identity (labels, rule order
     and conditions are preserved)."""
-    names: set[str] = set()
-    for r in system.rules:
-        for t in _rule_terms(r):
-            names |= term_vars(t)
+    names = vars_of(*(t for r in system.rules for t in _rule_terms(r)))
     lines = []
     if names:
         lines.append("(VAR " + " ".join(sorted(names)) + ")")

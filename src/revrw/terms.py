@@ -157,24 +157,20 @@ def is_ground(t: Term) -> bool:
     return t.ground if isinstance(t, App) else False
 
 
-def term_vars(t: Term) -> set[str]:
-    """Set of variable names occurring in t."""
+def vars_of(*terms: Term) -> set[str]:
+    """Set of variable names occurring in any of the terms, in one walk."""
     out: set[str] = set()
-    stack = [t]
+    stack = list(terms)
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
+        if u.__class__ is Var:
             out.add(u.name)
         elif not u.ground:
             stack.extend(u.args)
     return out
 
 
-def vars_of(*terms: Term) -> set[str]:
-    out: set[str] = set()
-    for t in terms:
-        out |= term_vars(t)
-    return out
+term_vars = vars_of
 
 
 def is_constructor_term(t: Term) -> bool:

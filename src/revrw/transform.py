@@ -7,8 +7,9 @@ view-update construction built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     NotApplicable,
@@ -168,9 +169,20 @@ def remove_fail(rule: Rule) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Stage:
+    """One pipeline step: its operation's name, the rules after it, and its
+    change, the label of the rule it rewrote and the new rule (None if it
+    deleted that rule). The change's text is written when read."""
+
     name: str
     rules: tuple[Rule, ...]
-    changes: tuple[str, ...]
+    label: str
+    new_rule: Rule | None
+
+    @property
+    def changes(self) -> tuple[str, ...]:
+        if self.new_rule is None:
+            return (f"{self.name} deleted {self.label}",)
+        return (f"{self.name} on {self.label}: {self.new_rule!r}",)
 
     @property
     def output_system(self) -> RewriteSystem:
@@ -255,14 +267,12 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
             continue
         if new_rule is not None:
             rules[i] = new_rule
-            change = f"{name} on {rule.label}: {new_rule!r}"
         else:
             del rules[i]
-            change = f"{name} deleted {rule.label}"
             if all(r.lhs.symbol.name != rule.lhs.symbol.name for r in rules):
                 rules = list(RewriteSystem(rules).rules)
                 i = 0
-        stages.append(Stage(name, tuple(rules), (change,)))
+        stages.append(Stage(name, tuple(rules), rule.label, new_rule))
         if len(stages) > measure:
             raise RevrwError("pcDCTRS pipeline did not terminate")
 
@@ -278,13 +288,12 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
 # Injectivization and inversion
 
 
-def _rename_root(t: Term, name: str) -> App:
+# Each call of injectivize, injectivize_improved and invert makes the
+# symbols it generates (f^i, f^-1, tuple#k) through caches of its own, so
+# each is one object in its output.
+def _rename_root(t: Term, name: str, symbol: Callable[[str, int], Symbol]) -> App:
     assert isinstance(t, App)
-    return App(Symbol(name, t.symbol.arity), t.args)
-
-
-def _pair_term(a: Term, b: Term) -> App:
-    return App(tuple_symbol(2), (a, b))
+    return App(symbol(name, t.symbol.arity), t.args)
 
 
 def injectivize(system: RewriteSystem) -> RewriteSystem:
@@ -293,18 +302,18 @@ def injectivize(system: RewriteSystem) -> RewriteSystem:
     the safety-domain bindings (lexicographic order) and the condition trace
     variables."""
     _require_pcdctrs(system)
-    return RewriteSystem(_injectivize_rule(r, improved=False) for r in system.rules)
+    symbol, pair = cache(Symbol), tuple_symbol(2)
+    return RewriteSystem(_injectivize_rule(r, False, symbol, pair) for r in system.rules)
 
 
-def _injectivize_rule(rule: Rule, improved: bool) -> Rule:
+def _injectivize_rule(
+    rule: Rule, improved: bool, symbol: Callable[[str, int], Symbol], pair: Symbol
+) -> Rule:
     fresh = FreshNames(_rule_vars(rule))
     ws = [Var(fresh.next()) for _ in rule.conditions]
     ys = sorted(safety_domain(rule))
     conditions = tuple(
-        Condition(
-            _rename_root(c.lhs, injective_name(c.lhs.symbol.name)),
-            _pair_term(c.rhs, w),
-        )
+        Condition(_rename_root(c.lhs, injective_name(c.lhs.symbol.name), symbol), App(pair, (c.rhs, w)))
         for c, w in zip(rule.conditions, ws)
     )
     if improved:
@@ -315,8 +324,8 @@ def _injectivize_rule(rule: Rule, improved: bool) -> Rule:
         trace_out = App(trace_sym, (*(Var(y) for y in ys), *ws))
     return Rule(
         rule.label,
-        _rename_root(rule.lhs, injective_name(rule.lhs.symbol.name)),
-        _pair_term(rule.rhs, trace_out),
+        _rename_root(rule.lhs, injective_name(rule.lhs.symbol.name), symbol),
+        App(pair, (rule.rhs, trace_out)),
         conditions,
     )
 
@@ -364,9 +373,8 @@ def injectivize_improved(system: RewriteSystem, origin: RewriteSystem) -> Rewrit
     _require_pcdctrs(system)
     if not (origin.is_trs and origin.is_constructor_system):
         raise PreconditionViolated("origin is not a constructor TRS")
-    return RewriteSystem(
-        _injectivize_rule(r, improved=_qualifies(r, origin)) for r in system.rules
-    )
+    symbol, pair = cache(Symbol), tuple_symbol(2)
+    return RewriteSystem(_injectivize_rule(r, _qualifies(r, origin), symbol, pair) for r in system.rules)
 
 
 def _qualifies(rule: Rule, origin: RewriteSystem) -> bool:
@@ -390,7 +398,8 @@ def _qualifies(rule: Rule, origin: RewriteSystem) -> bool:
 def invert(system: RewriteSystem) -> RewriteSystem:
     """Swap rule sides and reverse conditions of an injectivized system:
     f^-1 maps (result, trace) back to the argument tuple."""
-    return RewriteSystem(_invert_rule(r) for r in system.rules)
+    symbol, tuple_of = cache(Symbol), cache(tuple_symbol)
+    return RewriteSystem(_invert_rule(r, symbol, tuple_of) for r in system.rules)
 
 
 def is_injectivized(system: RewriteSystem) -> bool:
@@ -401,19 +410,21 @@ def is_injectivized(system: RewriteSystem) -> bool:
     )
 
 
-def _invert_rule(rule: Rule) -> Rule:
+def _invert_rule(
+    rule: Rule, symbol: Callable[[str, int], Symbol], tuple_of: Callable[[int], Symbol]
+) -> Rule:
     shape = _injective_shape(rule)
     if shape is None:
         raise ShapeViolated(
             f"rule {rule.label} is not injectivization-shaped: {rule!r}"
         )
     base, result, trace_out, cond_parts = shape
-    inv_lhs = App(Symbol(inverse_name(base), 2), (result, trace_out))
-    inv_rhs = App(tuple_symbol(len(rule.lhs.args)), rule.lhs.args)
+    inv_lhs = App(symbol(inverse_name(base), 2), (result, trace_out))
+    inv_rhs = App(tuple_of(len(rule.lhs.args)), rule.lhs.args)
     inv_conditions = tuple(
         Condition(
-            App(Symbol(inverse_name(cbase), 2), (t_i, w_i)),
-            App(tuple_symbol(len(args)), args),
+            App(symbol(inverse_name(cbase), 2), (t_i, w_i)),
+            App(tuple_of(len(args)), args),
         )
         for cbase, args, t_i, w_i in reversed(cond_parts)
     )

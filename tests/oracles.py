@@ -14,6 +14,7 @@ from revrw import (
     App,
     BoundExceeded,
     Bounds,
+    Condition,
     FreshNames,
     InvalidPosition,
     NotApplicable,
@@ -265,6 +266,48 @@ def ref_signature(rules) -> list[tuple[str, int, str]]:
         (name, arity, DEFINED if name in defined else CONSTRUCTOR)
         for name, arity in arities.items()
     ]
+
+
+def ref_system(rules) -> tuple[tuple[Rule, ...], dict[str, Symbol]]:
+    """The rules and signature of `RewriteSystem(rules)`, rebinding as it
+    once did: every node of every rule term is built again, and each name's
+    symbol is made anew, of its kind, where a walk first meets it (rules in
+    textual order; lhs, rhs, then each condition's lhs and rhs; each term
+    root first, arguments right to left)."""
+    defined = {r.lhs.symbol.name for r in rules}
+    signature: dict[str, Symbol] = {}
+
+    def rebind(t: Term) -> Term:
+        done: list[Term] = []
+        stack: list = [t]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Var):
+                done.append(u)
+            elif isinstance(u, App):
+                sym = u.symbol
+                if sym.name not in signature:
+                    kind = DEFINED if sym.name in defined else CONSTRUCTOR
+                    signature[sym.name] = Symbol(sym.name, sym.arity, kind)
+                stack.append(signature[sym.name])
+                stack.extend(u.args)
+            else:
+                k = len(done) - u.arity
+                args = tuple(reversed(done[k:]))
+                del done[k:]
+                done.append(App(u, args))
+        return done[0]
+
+    out = tuple(
+        Rule(
+            r.label,
+            rebind(r.lhs),
+            rebind(r.rhs),
+            tuple(Condition(rebind(c.lhs), rebind(c.rhs)) for c in r.conditions),
+        )
+        for r in rules
+    )
+    return out, signature
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,19 @@ from pathlib import Path
 
 import pytest
 
-from revrw import App, format_term, injectivize, invert, normalize, parse_system, parse_term, to_pcdctrs
+from revrw import (
+    App,
+    PipelineReport,
+    RewriteSystem,
+    format_term,
+    injectivize,
+    invert,
+    normalize,
+    parse_system,
+    parse_term,
+    systems,
+    to_pcdctrs,
+)
 
 from .oracles import ref_pipeline_measure
 from .test_transform import synthetic_system
@@ -29,14 +41,24 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_pipeline_on_6800_rules():
+def test_pipeline_on_6800_rules(monkeypatch):
     # The benchmark's compile shape with 3,400 functions takes 10,200
     # pipeline stages, past the fixed cap of 10,000 the pipeline once had.
     # It takes about 6 s and 600 MB of RSS on a 2-core machine; the stage
     # snapshots hold most of the memory, so no memory ceiling is set yet.
     system = parse_system(synthetic_system(random.Random(1), 3400, infeasible=False))
+    formatted = []
+    format_rule = systems.format_rule
+
+    def counting(rule):
+        formatted.append(rule.label)
+        return format_rule(rule)
+
+    monkeypatch.setattr(systems, "format_rule", counting)
     start = time.perf_counter()
     pc, report = to_pcdctrs(system)
+    # No stage writes its change text until it is read.
+    assert formatted == []
     forward = injectivize(pc)
     backward = invert(forward)
     elapsed = time.perf_counter() - start
@@ -54,6 +76,15 @@ def test_pipeline_on_6800_rules():
         back = normalize(backward, App(backward.signature[f"{name}^-1"], pair.args), "constructor")
         assert format_term(back) == "tuple#2(s(s(0)),s(0))"
     assert elapsed < 20
+    # A system of classified rules keeps the very Rule objects.
+    assert all(a is b for a, b in zip(RewriteSystem(pc.rules).rules, pc.rules))
+    # The report's text is still written on request.
+    first = report.stages[0]
+    change = first.changes[0]
+    assert formatted == [first.label]
+    text = str(PipelineReport((first,)))
+    assert text.startswith(f"-- stage 1: flattening-rhs --\n{change}\n(VAR ")
+    assert len(formatted) == 2 + 6800
 
 
 # Run in a child process of its own, so that its peak RSS is the case's

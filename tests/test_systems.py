@@ -5,6 +5,7 @@ from functools import cache
 import pytest
 
 from revrw import (
+    App,
     ArityConflict,
     DuplicateLabel,
     ParseError,
@@ -28,7 +29,7 @@ from revrw import (
 from revrw.terms import CONSTRUCTOR, DEFINED, Symbol
 
 from .conftest import CORPUS_DIR, CORPUS_FILES, load
-from .oracles import ref_signature
+from .oracles import ref_signature, ref_system
 
 ALL_CORPUS_FILES = sorted(path.name for path in CORPUS_DIR.glob("*.trs"))
 
@@ -316,3 +317,91 @@ def test_parse_errors_deep_inside_a_term_keep_their_location():
     with pytest.raises(ArityConflict) as err:
         parse_term("f(" * depth + "f(0,0)" + ")" * depth)
     assert str(err.value) == f"symbol 'f' used with arities 2 and 1 (line 1, column {2 * depth - 1})"
+
+
+# --- construction keeps what is already classified --------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every RewriteSystem built while the test runs, with the rules it was
+    built from."""
+    systems = []
+    init = RewriteSystem.__init__
+
+    def recording(self, rules):
+        rules = tuple(rules)
+        init(self, rules)
+        systems.append((rules, self))
+
+    monkeypatch.setattr(RewriteSystem, "__init__", recording)
+    return systems
+
+
+def _rule_sides(rule: Rule):
+    yield rule.lhs
+    yield rule.rhs
+    for c in rule.conditions:
+        yield c.lhs
+        yield c.rhs
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS_FILES)
+def test_every_system_is_built_as_the_rebuilding_reference_builds_it(name, built):
+    # The parsed system, every pipeline stage's system, the pcDCTRS, and its
+    # plain and improved injectivizations and their inverses.
+    system = parse_system((CORPUS_DIR / name).read_text(encoding="utf-8"))
+    pc, report = to_pcdctrs(system)
+    stages = [stage.output_system for stage in report.stages]
+    forward = injectivize(pc)
+    chain = [system, pc, *stages, forward, invert(forward)]
+    if system.is_trs and system.is_constructor_system:
+        improved = injectivize_improved(pc, system)
+        chain += [improved, invert(improved)]
+    assert all(any(s is out for _, out in built) for s in chain)
+    for rules, out in built:
+        ref_rules, ref_signature_ = ref_system(rules)
+        assert out.rules == ref_rules
+        assert list(out.signature) == list(ref_signature_)
+        assert [(s.arity, s.kind) for s in out.signature.values()] == [
+            (s.arity, s.kind) for s in ref_signature_.values()
+        ]
+        for rule, ref_rule in zip(out.rules, ref_rules):
+            stack = list(zip(_rule_sides(rule), _rule_sides(ref_rule)))
+            while stack:
+                got, want = stack.pop()
+                if isinstance(got, App):
+                    assert (got.ground, got.constructor) == (want.ground, want.constructor)
+                    assert got.symbol is out.signature[got.symbol.name]
+                    stack.extend(zip(got.args, want.args))
+
+
+def test_a_system_of_classified_rules_keeps_them(addmult):
+    again = RewriteSystem(addmult.rules)
+    assert all(a is b for a, b in zip(again.rules, addmult.rules))
+    assert all(again.signature[n] is s for n, s in addmult.signature.items())
+
+
+def test_only_a_misclassified_root_is_built_again():
+    # Parsed, every symbol is a constructor; f is the root of an lhs, so only
+    # the lhs root is new, over the very arguments the parser built.
+    s = Symbol("s", 1)
+    x = Var("x")
+    lhs = App(Symbol("f", 1), (App(s, (x,)),))
+    rhs = App(s, (App(s, (x,)),))
+    system = RewriteSystem([Rule("r", lhs, rhs)])
+    (rule,) = system.rules
+    assert rule.lhs is not lhs and rule.lhs.args is lhs.args
+    assert rule.lhs.symbol.kind == DEFINED and not rule.lhs.constructor
+    assert rule.rhs is rhs and system.signature["s"] is s
+
+
+def test_a_term_with_a_stale_symbol_below_its_root_is_rebuilt():
+    # g is defined, so g(x) under the constructor c is built again, and so is
+    # c above it; the symbol kept for c is the one met first.
+    c, g = Symbol("c", 1), Symbol("g", 1)
+    x = Var("x")
+    system = RewriteSystem([Rule("a", App(g, (x,)), x), Rule("b", App(Symbol("f", 1), (x,)), App(c, (App(g, (x,)),)))])
+    rhs = system.rules[1].rhs
+    assert rhs.symbol is c and rhs.args[0].symbol is system.signature["g"]
+    assert not rhs.constructor and rhs == App(c, (App(g, (x,)),))
