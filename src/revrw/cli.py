@@ -22,7 +22,7 @@ from .reversible import (
     parse_trace,
 )
 from .rewrite import DEFAULT_BOUNDS, STRATEGIES, Bounds, normalize
-from .systems import RewriteSystem, format_system, parse_system, parse_term, parse_terms, validate
+from .systems import PROPERTIES, RewriteSystem, format_system, parse_system, parse_term, parse_terms, validate
 from .terms import format_term
 from .transform import (
     injectivize,
@@ -32,8 +32,6 @@ from .transform import (
     to_pcdctrs,
     view_update,
 )
-
-_PROPERTIES = ("3ctrs", "dctrs", "constructor", "pcdctrs")
 
 
 def _positive_int(text: str) -> int:
@@ -70,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="parse a system and validate a property")
     _add_common(p)
-    p.add_argument("--property", choices=_PROPERTIES)
+    p.add_argument("--property", choices=PROPERTIES)
 
     p = sub.add_parser("rewrite", help="normalize a term (no trace)")
     _add_common(p)

@@ -27,7 +27,7 @@ from .errors import (
     UnsafePair,
 )
 from .rewrite import Bounds, DEFAULT_BOUNDS, StepWitness, derivation, first_step, step
-from .systems import IDENT_PATTERN, RewriteSystem, TermParser, TokenStream, tokenize
+from .systems import IDENT_PATTERN, RewriteSystem, TermParser, TokenStream, safety_domain, tokenize
 from .terms import (
     App,
     EMPTY_SUBST,
@@ -84,7 +84,6 @@ def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
     """Check the safety domain equation for every trace term, sub-traces
     included, in the order they are printed."""
     findings: list[str] = []
-    domains = system.safety_domains
     # The trace terms still to check, innermost sub-traces last.
     pending = [iter(trace)]
     while pending:
@@ -98,7 +97,7 @@ def is_safe(system: RewriteSystem, trace: Trace) -> SafetyReport:
         recorded = tt.recorded
         if recorded and not recorded.is_ground:
             findings.append(f"{tt.label}: recorded substitution is not ground")
-        need = domains[tt.label]
+        need = safety_domain(rule)
         if not recorded.has_domain(need):
             findings.append(
                 f"{tt.label}: recorded domain {sorted(recorded.domain)} "
@@ -138,10 +137,12 @@ def witness_trace_term(system: RewriteSystem, witness: StepWitness) -> TraceTerm
 
 
 def _recorded(system: RewriteSystem, witness: StepWitness) -> Subst:
-    program = witness.program
-    if program is not None and program.rule is system.rule_by_label(witness.rule_label):
+    program, rule = witness.program, system.rule_by_label(witness.rule_label)
+    if program is not None and program.rule is rule:
         return program.recorded(witness.slots)
-    return witness.sigma.restrict(system.safety_domains[witness.rule_label])
+    if rule is None:
+        raise UnknownLabel(f"step witness references unknown rule label {witness.rule_label!r}")
+    return witness.sigma.restrict(safety_domain(rule))
 
 
 def derivation_trace(system: RewriteSystem, steps: tuple[StepWitness, ...]) -> Trace:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import is_
 from typing import Iterable, Iterator
@@ -40,7 +40,6 @@ from .terms import (
     format_term,
     is_basic_term,
     is_constructor_term,
-    term_vars,
     vars_of,
 )
 
@@ -55,16 +54,35 @@ class Condition:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
+    """A labelled rule lhs -> rhs | s1 ->> t1, ..., sn ->> tn.
+
+    A rule is immutable, so the facts read from its terms alone, its
+    variable sets (`var_sets`) and its safety domain (`safety_domain`), are
+    worked out once, on first use, and kept on it. They take no part in
+    `==`, `hash` or `repr`."""
+
     label: str
     lhs: Term
     rhs: Term
     conditions: tuple[Condition, ...] = ()
+    _var_sets: tuple[frozenset[str], ...] | None = field(default=None, init=False, compare=False, repr=False)
+    _domain: frozenset[str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ParseError(f"rule {self.label}: left-hand side is a variable")
         if not isinstance(self.conditions, tuple):
             object.__setattr__(self, "conditions", tuple(self.conditions))
+
+    @property
+    def var_sets(self) -> tuple[frozenset[str], ...]:
+        """The variables of each term, in `_rule_terms` order: lhs, rhs,
+        then each condition's lhs and rhs."""
+        sets = self._var_sets
+        if sets is None:
+            sets = tuple(frozenset(vars_of(t)) for t in _rule_terms(self))
+            object.__setattr__(self, "_var_sets", sets)
+        return sets
 
     def __repr__(self) -> str:
         return format_rule(self)
@@ -104,7 +122,8 @@ class RewriteSystem:
     one symbol, of its final kind. No other code assigns a kind. A symbol
     already of its final kind is kept, so a system built from another's
     rules shares its symbols, subterms and, where nothing changes, its
-    `Rule` objects.
+    `Rule` objects, with the facts they keep. The four `PROPERTIES` are
+    classified together, in one pass over the rules on first use.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -134,20 +153,13 @@ class RewriteSystem:
         return self._by_label.get(label)
 
     @cached_property
-    def safety_domains(self) -> dict[str, frozenset[str]]:
-        """`safety_domain` of every rule, by label, worked out once per
-        system on first use."""
-        return {r.label: safety_domain(r) for r in self.rules}
-
-    @cached_property
     def programs(self) -> dict[str, tuple[RuleProgram, ...]]:
         """Every rule compiled to its slot programs (see `revrw.programs`),
         indexed like `rules_by_root`. Compiled once per system, on the first
         rule attempt, and each rule to code on its own first attempt: most
         systems a transformation builds never rewrite."""
-        domains = self.safety_domains
         return {
-            name: tuple(RuleProgram(r, domain=domains[r.label]) for r in rules)
+            name: tuple(RuleProgram(r, domain=safety_domain(r)) for r in rules)
             for name, rules in self.rules_by_root.items()
         }
 
@@ -156,8 +168,7 @@ class RewriteSystem:
         """Every rule compiled read backwards, to undo its steps (see
         `revrw.programs`), by label. Compiled once per system, on its first
         backward step."""
-        domains = self.safety_domains
-        return {r.label: RuleProgram(r, domain=domains[r.label], backward=True) for r in self.rules}
+        return {r.label: RuleProgram(r, domain=safety_domain(r), backward=True) for r in self.rules}
 
     @cached_property
     def views(self) -> dict:
@@ -170,26 +181,16 @@ class RewriteSystem:
 
     @cached_property
     def is_trs(self) -> bool:
-        return all(
-            not r.conditions and term_vars(r.rhs) <= term_vars(r.lhs)
-            for r in self.rules
-        )
+        return all(not r.conditions and r.var_sets[1] <= r.var_sets[0] for r in self.rules)
 
     @cached_property
-    def is_3ctrs(self) -> bool:
-        return validate(self, "3ctrs").ok
+    def _reports(self) -> dict[str, ValidationReport]:
+        return _classify(self.rules)
 
-    @cached_property
-    def is_dctrs(self) -> bool:
-        return validate(self, "dctrs").ok
-
-    @cached_property
-    def is_constructor_system(self) -> bool:
-        return validate(self, "constructor").ok
-
-    @cached_property
-    def is_pcdctrs(self) -> bool:
-        return validate(self, "pcdctrs").ok
+    is_3ctrs = cached_property(lambda self: self._reports["3ctrs"].ok)
+    is_dctrs = cached_property(lambda self: self._reports["dctrs"].ok)
+    is_constructor_system = cached_property(lambda self: self._reports["constructor"].ok)
+    is_pcdctrs = cached_property(lambda self: self._reports["pcdctrs"].ok)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RewriteSystem) and self.rules == other.rules
@@ -204,13 +205,21 @@ class RewriteSystem:
 def safety_domain(rule: Rule) -> frozenset[str]:
     """Variables a trace term for this rule must record: erased left-hand
     side variables plus condition-rhs variables not readable from the result
-    and the later condition lhs's."""
-    s_terms = [c.lhs for c in rule.conditions]
-    t_terms = [c.rhs for c in rule.conditions]
-    dom = term_vars(rule.lhs) - vars_of(rule.rhs, *s_terms, *t_terms)
-    for i, t_i in enumerate(t_terms):
-        dom |= term_vars(t_i) - vars_of(rule.rhs, *s_terms[i + 1 :])
-    return frozenset(dom)
+    and the later condition lhs's. Worked out once per rule, in one pass
+    over its conditions from last to first."""
+    domain = rule._domain
+    if domain is None:
+        lhs, rhs, *sides = rule.var_sets
+        # The variables of the rhs and of the condition lhs's after the
+        # condition at hand.
+        readable = set(rhs)
+        out: set[str] = set()
+        for s, t in zip(sides[-2::-2], sides[::-2]):
+            out |= t - readable
+            readable |= s
+        domain = frozenset(out.union(lhs.difference(readable, *sides)))
+        object.__setattr__(rule, "_domain", domain)
+    return domain
 
 
 def _rule_terms(r: Rule) -> Iterator[Term]:
@@ -292,65 +301,64 @@ def _rebind(t: Term, signature: dict[str, Symbol], defined: set[str]) -> Term:
 # Validation
 
 
+PROPERTIES = ("3ctrs", "dctrs", "constructor", "pcdctrs")
+
+
 def validate(system: RewriteSystem, property_name: str) -> ValidationReport:
-    """Check every rule against one of {3ctrs, dctrs, constructor, pcdctrs}.
+    """Check every rule against one of `PROPERTIES`.
 
     The report lists violations only; an empty findings list means the
     property holds. The classes are cumulative: dctrs includes the 3ctrs
-    clauses and pcdctrs includes the dctrs clauses.
+    clauses and pcdctrs includes the dctrs clauses. The system classifies
+    all four at once, on first use, and keeps the reports.
     """
-    checks = {
-        "3ctrs": (_check_3ctrs,),
-        "dctrs": (_check_3ctrs, _check_deterministic),
-        "constructor": (_check_constructor,),
-        "pcdctrs": (_check_3ctrs, _check_deterministic, _check_pure_constructor),
-    }
-    if property_name not in checks:
+    if property_name not in PROPERTIES:
         raise ValueError(f"unknown property {property_name!r}")
-    findings = []
-    for rule in system.rules:
-        for check in checks[property_name]:
-            for message in check(rule):
-                findings.append(Finding(rule.label, message))
-    return ValidationReport(property_name, tuple(findings))
+    return system._reports[property_name]
 
 
-def _check_3ctrs(rule: Rule) -> Iterator[str]:
-    housed = term_vars(rule.lhs)
-    for c in rule.conditions:
-        housed |= vars_of(c.lhs, c.rhs)
-    extra = term_vars(rule.rhs) - housed
-    if extra:
-        yield f"right-hand side variables {sorted(extra)} occur neither in the left-hand side nor in the conditions"
+def _classify(rules: tuple[Rule, ...]) -> dict[str, ValidationReport]:
+    """The report of each of `PROPERTIES`, in one pass over the rules, read
+    from their variable sets. Findings go rule by rule; within a rule, the
+    3ctrs clause comes first, then the determinism clauses, then the
+    pure-constructor clauses."""
+    found: dict[str, list[Finding]] = {p: [] for p in PROPERTIES}
 
+    def add(label: str, message: str, *properties: str) -> None:
+        for p in properties:
+            found[p].append(Finding(label, message))
 
-def _check_deterministic(rule: Rule) -> Iterator[str]:
-    known = term_vars(rule.lhs)
-    for i, c in enumerate(rule.conditions, 1):
-        extra = term_vars(c.lhs) - known
+    for r in rules:
+        lhs, rhs, *sides = r.var_sets
+        extra = rhs.difference(lhs, *sides)
         if extra:
-            yield (
-                f"condition {i} left-hand side variables {sorted(extra)} are not bound "
-                f"by the rule left-hand side or earlier condition right-hand sides"
+            add(
+                r.label,
+                f"right-hand side variables {sorted(extra)} occur neither in the left-hand "
+                "side nor in the conditions",
+                "3ctrs", "dctrs", "pcdctrs",
             )
-        known |= term_vars(c.rhs)
-
-
-def _check_constructor(rule: Rule) -> Iterator[str]:
-    if not is_basic_term(rule.lhs):
-        yield "left-hand side is not a basic term"
-
-
-def _check_pure_constructor(rule: Rule) -> Iterator[str]:
-    if not is_basic_term(rule.lhs):
-        yield "left-hand side is not a basic term"
-    if not is_constructor_term(rule.rhs):
-        yield "right-hand side is not a constructor term"
-    for i, c in enumerate(rule.conditions, 1):
-        if not is_basic_term(c.lhs):
-            yield f"condition {i} left-hand side is not a basic term"
-        if not is_constructor_term(c.rhs):
-            yield f"condition {i} right-hand side is not a constructor term"
+        known = set(lhs)
+        for i, (s, t) in enumerate(zip(sides[::2], sides[1::2]), 1):
+            extra = s - known
+            if extra:
+                add(
+                    r.label,
+                    f"condition {i} left-hand side variables {sorted(extra)} are not bound "
+                    f"by the rule left-hand side or earlier condition right-hand sides",
+                    "dctrs", "pcdctrs",
+                )
+            known |= t
+        if not is_basic_term(r.lhs):
+            add(r.label, "left-hand side is not a basic term", "constructor", "pcdctrs")
+        if not is_constructor_term(r.rhs):
+            add(r.label, "right-hand side is not a constructor term", "pcdctrs")
+        for i, c in enumerate(r.conditions, 1):
+            if not is_basic_term(c.lhs):
+                add(r.label, f"condition {i} left-hand side is not a basic term", "pcdctrs")
+            if not is_constructor_term(c.rhs):
+                add(r.label, f"condition {i} right-hand side is not a constructor term", "pcdctrs")
+    return {p: ValidationReport(p, tuple(fs)) for p, fs in found.items()}
 
 
 # ---------------------------------------------------------------------------

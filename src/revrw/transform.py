@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     NotApplicable,
@@ -35,9 +35,7 @@ from .terms import (
     is_constructor_term,
     is_ground,
     rebuild,
-    term_vars,
     unify,
-    vars_of,
 )
 
 FRESH_PREFIX = "_w"
@@ -45,11 +43,12 @@ FRESH_PREFIX = "_w"
 
 class FreshNames:
     """Fresh-variable source for one transformation session. Names use the
-    reserved `_w` prefix and skip anything already taken."""
+    reserved `_w` prefix and skip anything already taken: every name in
+    any of the `taken` sets."""
 
-    def __init__(self, taken: set[str] | frozenset[str] = frozenset()):
+    def __init__(self, *taken: Iterable[str]):
         self._n = 0
-        self._taken = set(taken)
+        self._taken = set().union(*taken)
 
     def next(self) -> str:
         while True:
@@ -58,13 +57,6 @@ class FreshNames:
             if name not in self._taken:
                 self._taken.add(name)
                 return name
-
-
-def _rule_vars(rule: Rule) -> set[str]:
-    out = term_vars(rule.lhs) | term_vars(rule.rhs)
-    for c in rule.conditions:
-        out |= vars_of(c.lhs, c.rhs)
-    return out
 
 
 def tuple_symbol(k: int) -> Symbol:
@@ -104,7 +96,7 @@ def flatten_rhs(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     variable bound through a new last condition."""
     if is_constructor_term(rule.rhs):
         raise NotApplicable(f"rule {rule.label}: right-hand side is a constructor term")
-    fresh = fresh or FreshNames(_rule_vars(rule))
+    fresh = fresh or FreshNames(*rule.var_sets)
     w = Var(fresh.next())
     basic, rhs = _split_basic(rule.rhs, w)
     return Rule(rule.label, rule.lhs, rhs, (*rule.conditions, Condition(basic, w)))
@@ -116,7 +108,7 @@ def flatten_condition(rule: Rule, fresh: FreshNames | None = None) -> Rule:
     for i, c in enumerate(rule.conditions):
         if is_constructor_term(c.lhs) or is_basic_term(c.lhs):
             continue
-        fresh = fresh or FreshNames(_rule_vars(rule))
+        fresh = fresh or FreshNames(*rule.var_sets)
         w = Var(fresh.next())
         basic, lhs = _split_basic(c.lhs, w)
         new_conditions = (
@@ -240,7 +232,7 @@ def to_pcdctrs(system: RewriteSystem) -> tuple[RewriteSystem, PipelineReport]:
                     "constructor term"
                 )
 
-    fresh = FreshNames(set().union(*map(_rule_vars, system.rules)))
+    fresh = FreshNames(*(s for r in system.rules for s in r.var_sets))
     ops = (
         ("flattening-rhs", lambda r: flatten_rhs(r, fresh)),
         ("flattening-condition", lambda r: flatten_condition(r, fresh)),
@@ -309,7 +301,7 @@ def injectivize(system: RewriteSystem) -> RewriteSystem:
 def _injectivize_rule(
     rule: Rule, improved: bool, symbol: Callable[[str, int], Symbol], pair: Symbol
 ) -> Rule:
-    fresh = FreshNames(_rule_vars(rule))
+    fresh = FreshNames(*rule.var_sets)
     ws = [Var(fresh.next()) for _ in rule.conditions]
     ys = sorted(safety_domain(rule))
     conditions = tuple(
@@ -386,7 +378,7 @@ def _qualifies(rule: Rule, origin: RewriteSystem) -> bool:
     ]
     if not all(range_disjoint(source.rhs, r.rhs) for r in siblings):
         return False
-    if term_vars(source.lhs) != term_vars(source.rhs):
+    if source.var_sets[0] != source.var_sets[1]:
         return False
     if _count_defined(source.rhs) != 1:
         return False

@@ -34,6 +34,7 @@ from revrw import (
     UnsafePair,
     UnsafeTrace,
     UpdateFailed,
+    ValidationReport,
     Var,
     ViewFailed,
     flatten_condition,
@@ -55,15 +56,13 @@ from revrw import (
     remove_fail,
     remove_unify,
     replace,
-    safety_domain,
     step,
     subterm,
     term_vars,
-    validate,
 )
 from revrw.reversible import TraceTerm, witness_trace_term
 from revrw.rewrite import STRATEGIES
-from revrw.systems import TermParser, TokenStream, tokenize
+from revrw.systems import Finding, TermParser, TokenStream, tokenize
 from revrw.terms import (
     CONSTRUCTOR,
     DEFINED,
@@ -311,6 +310,79 @@ def ref_system(rules) -> tuple[tuple[Rule, ...], dict[str, Symbol]]:
 
 
 # ---------------------------------------------------------------------------
+# Rule facts and classification, each property checked on its own
+
+
+def ref_safety_domain(rule: Rule) -> frozenset[str]:
+    """The safety domain as the definition reads: the erased lhs variables,
+    and for each condition the rhs variables that neither the rule's rhs
+    nor a later condition lhs holds, each walked again."""
+    s_terms = [c.lhs for c in rule.conditions]
+    t_terms = [c.rhs for c in rule.conditions]
+    dom = term_vars(rule.lhs) - vars_of(rule.rhs, *s_terms, *t_terms)
+    for i, t_i in enumerate(t_terms):
+        dom |= term_vars(t_i) - vars_of(rule.rhs, *s_terms[i + 1 :])
+    return frozenset(dom)
+
+
+def ref_validate(system: RewriteSystem, property_name: str) -> ValidationReport:
+    """`validate`, with each property's clauses checked in turn on every
+    rule, walking the rule's terms again for each."""
+    checks = {
+        "3ctrs": (_ref_check_3ctrs,),
+        "dctrs": (_ref_check_3ctrs, _ref_check_deterministic),
+        "constructor": (_ref_check_constructor,),
+        "pcdctrs": (_ref_check_3ctrs, _ref_check_deterministic, _ref_check_pure_constructor),
+    }
+    if property_name not in checks:
+        raise ValueError(f"unknown property {property_name!r}")
+    findings = []
+    for rule in system.rules:
+        for check in checks[property_name]:
+            for message in check(rule):
+                findings.append(Finding(rule.label, message))
+    return ValidationReport(property_name, tuple(findings))
+
+
+def _ref_check_3ctrs(rule: Rule):
+    housed = term_vars(rule.lhs)
+    for c in rule.conditions:
+        housed |= vars_of(c.lhs, c.rhs)
+    extra = term_vars(rule.rhs) - housed
+    if extra:
+        yield f"right-hand side variables {sorted(extra)} occur neither in the left-hand side nor in the conditions"
+
+
+def _ref_check_deterministic(rule: Rule):
+    known = term_vars(rule.lhs)
+    for i, c in enumerate(rule.conditions, 1):
+        extra = term_vars(c.lhs) - known
+        if extra:
+            yield (
+                f"condition {i} left-hand side variables {sorted(extra)} are not bound "
+                f"by the rule left-hand side or earlier condition right-hand sides"
+            )
+        known |= term_vars(c.rhs)
+
+
+def _ref_check_constructor(rule: Rule):
+    if not is_basic_term(rule.lhs):
+        yield "left-hand side is not a basic term"
+
+
+def _ref_check_pure_constructor(rule: Rule):
+    if not is_basic_term(rule.lhs):
+        yield "left-hand side is not a basic term"
+    if not is_constructor_term(rule.rhs):
+        yield "right-hand side is not a constructor term"
+    for i, c in enumerate(rule.conditions, 1):
+        if not is_basic_term(c.lhs):
+            yield f"condition {i} left-hand side is not a basic term"
+        if not is_constructor_term(c.rhs):
+            yield f"condition {i} right-hand side is not a constructor term"
+
+
+# ---------------------------------------------------------------------------
 # Backward completions, enumerated without the matching algorithm
 
 
@@ -334,7 +406,7 @@ def enumerate_backward_steps(system: RewriteSystem, pair: Pair) -> list[tuple[Ru
             continue
         if len(rule.conditions) != len(tt.sub_traces):
             continue
-        if safety_domain(rule) != tt.recorded.domain:
+        if ref_safety_domain(rule) != tt.recorded.domain:
             continue
         for theta in _candidate_thetas(rule.rhs, focus):
             try:
@@ -589,7 +661,7 @@ def ref_to_pcdctrs(system: RewriteSystem):
         stages.append((name, current, (change,)))
     else:
         raise RevrwError("pcDCTRS pipeline did not terminate")
-    report = validate(current, "pcdctrs")
+    report = ref_validate(current, "pcdctrs")
     if not report.ok:
         raise RevrwError(f"pipeline output is not a pcDCTRS:\n{report}")
     return current, stages

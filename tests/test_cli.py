@@ -42,6 +42,29 @@ def test_check_property_pass_and_fail(capsys):
     assert code == 1 and "violation" in out
 
 
+@pytest.mark.parametrize("property_name", ["3ctrs", "dctrs", "constructor", "pcdctrs"])
+def test_check_property_prints_every_finding_in_order(capsys, tmp_path, property_name):
+    from .test_systems import MIXED_B, MIXED_REPORTS
+
+    path = tmp_path / "mixed.trs"
+    path.write_text(MIXED_B)
+    code, out, err = run(capsys, "check", path, "--property", property_name)
+    found = MIXED_REPORTS[MIXED_B, property_name]
+    lines = [f"{property_name}: {len(found)} violation(s)"] + [f"  [{r}] {m}" for r, m in found]
+    assert (code, out, err) == (1, "\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "strategy, normal_form", [(None, "f(2,1)"), ("constructor", "f(2,1)"), ("top", "2"), ("innermost", "2")]
+)
+def test_rewrite_takes_an_explicit_strategy_over_the_default(capsys, strategy, normal_form):
+    # firstfail is a pcDCTRS, so the default is constructor reduction, which
+    # refuses the stuck call h(1) that top and innermost reduction bind.
+    argv = ["rewrite", CORPUS_DIR / "firstfail.trs", "--term", "f(2,1)"]
+    code, out, _ = run(capsys, *argv, *(["--strategy", strategy] if strategy else []))
+    assert (code, out) == (0, normal_form + "\n")
+
+
 def test_rewrite_normalizes(capsys):
     code, out, _ = run(capsys, "rewrite", DOUBLE, "--term", "double(s(s(0)))")
     assert code == 0 and out == "s(s(s(s(0))))\n"

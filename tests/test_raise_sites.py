@@ -139,3 +139,17 @@ def test_hand_built_arity_conflicts_keep_their_text():
     assert _arity_conflict(Rule("a", App(f1, (x,)), App(c1, (App(f2, (x, x)),)))) == (
         "symbol 'f' used with arities 1 and 2"
     )
+
+
+def test_a_step_witness_of_a_rule_the_system_lacks_is_an_unknown_label():
+    from revrw import StepWitness, UnknownLabel, parse_term, step
+    from revrw.reversible import witness_trace_term
+
+    source = parse_system("(VAR x)(RULES f(x) -> x [b9])")
+    other = parse_system("(VAR x)(RULES g(x) -> x [b1])")
+    w = step(source, parse_term("f(0)", source))[0]
+    # The engine's witness, and one built from its substitution.
+    for witness in (w, StepWitness(w.position, w.rule_label, w.sigma, w.result, ())):
+        with pytest.raises(UnknownLabel) as err:
+            witness_trace_term(other, witness)
+        assert str(err.value) == "step witness references unknown rule label 'b9'"

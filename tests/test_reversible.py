@@ -697,7 +697,7 @@ def test_recorded_substitution_binding_a_variable_twice_is_a_parse_error():
 def test_forward_run_builds_no_subst_for_rules_with_an_empty_safety_domain(addmult, monkeypatch):
     # Neither add rule records a binding: every trace term of add(s^30(0),0)
     # shares one empty Subst, and no witness builds its sigma.
-    assert not addmult.safety_domains["b1"] and not addmult.safety_domains["b2"]
+    assert not safety_domain(addmult.rule_by_label("b1")) and not safety_domain(addmult.rule_by_label("b2"))
     start = addmult.signature["add"](_nat(addmult, 30), _nat(addmult, 0))
     original = Subst.__init__
     built = 0

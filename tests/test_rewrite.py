@@ -244,3 +244,26 @@ def test_mult_top_sub_witness_results(addmult_pc):
     first, second = w.sub_witnesses
     assert repr(first[0].result) == "0"
     assert repr(second[0].result) == "s(0)"
+
+
+def test_witness_repr_separates_its_sub_derivations(addmult_pc):
+    t = parse_term("mult(s(0),s(0))", addmult_pc)
+    w = step(addmult_pc, t, "top")[0]
+    assert repr(w) == (
+        "StepWitness(position=(), rule_label='b4', sigma={w -> s(0), x -> 0, y -> s(0), z -> 0}, "
+        "result=s(0), sub_witnesses=((StepWitness(position=(), rule_label='b3', sigma={y -> s(0)}, "
+        "result=0, sub_witnesses=()),), (StepWitness(position=(), rule_label='b1', "
+        "sigma={y -> s(0)}, result=s(0), sub_witnesses=()),)))"
+    )
+
+
+@pytest.mark.parametrize("strategy", ["any", "innermost", "constructor", "top"])
+def test_a_condition_whose_normal_form_is_not_ground_is_rejected(strategy):
+    # f(x) -> y is not a 3CTRS rule: called in g's condition, it leaves the
+    # variable y as the condition's value, which cannot be matched.
+    from revrw import NotGround
+
+    system = parse_system("(VAR x y z)(RULES f(x) -> y  g(x) -> z | f(x) == z)")
+    with pytest.raises(NotGround) as err:
+        normalize(system, parse_term("g(0)", system), strategy)
+    assert type(err.value) is NotGround and str(err.value) == "match subject must be ground: y"

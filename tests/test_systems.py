@@ -7,6 +7,7 @@ import pytest
 from revrw import (
     App,
     ArityConflict,
+    Condition,
     DuplicateLabel,
     ParseError,
     PreconditionViolated,
@@ -29,7 +30,7 @@ from revrw import (
 from revrw.terms import CONSTRUCTOR, DEFINED, Symbol
 
 from .conftest import CORPUS_DIR, CORPUS_FILES, load
-from .oracles import ref_signature, ref_system
+from .oracles import ref_safety_domain, ref_signature, ref_system
 
 ALL_CORPUS_FILES = sorted(path.name for path in CORPUS_DIR.glob("*.trs"))
 
@@ -201,6 +202,66 @@ def test_unknown_property_rejected(addfst):
         validate(addfst, "nonsense")
 
 
+# Several rules of one system, each breaking different clauses. The findings
+# go rule by rule, and within a rule the 3ctrs clause comes first, then the
+# determinism clauses, then the pure-constructor clauses.
+MIXED_A = (
+    "(VAR x y z)(RULES f(x) -> g(x) | h(x) == g(y) [r1]  g(x) -> y [r2]"
+    "  h(x) -> z | k(y) == x [r3]  k(x) -> x [r4])"
+)
+MIXED_B = (
+    "(VAR x y z)(RULES p(q(x)) -> z [s1]"
+    "  q(x) -> y | p(x) == q(y), x == p(y), q(z) == y [s2]  p(x) -> x [s3])"
+)
+_UNHOUSED = "right-hand side variables ['{}'] occur neither in the left-hand side nor in the conditions"
+_UNBOUND = (
+    "condition {} left-hand side variables ['{}'] are not bound by the rule left-hand side "
+    "or earlier condition right-hand sides"
+)
+MIXED_REPORTS = {
+    (MIXED_A, "3ctrs"): [("r2", _UNHOUSED.format("y")), ("r3", _UNHOUSED.format("z"))],
+    (MIXED_A, "dctrs"): [
+        ("r2", _UNHOUSED.format("y")),
+        ("r3", _UNHOUSED.format("z")),
+        ("r3", _UNBOUND.format(1, "y")),
+    ],
+    (MIXED_A, "constructor"): [],
+    (MIXED_A, "pcdctrs"): [
+        ("r1", "right-hand side is not a constructor term"),
+        ("r1", "condition 1 right-hand side is not a constructor term"),
+        ("r2", _UNHOUSED.format("y")),
+        ("r3", _UNHOUSED.format("z")),
+        ("r3", _UNBOUND.format(1, "y")),
+    ],
+    (MIXED_B, "3ctrs"): [("s1", _UNHOUSED.format("z"))],
+    (MIXED_B, "dctrs"): [("s1", _UNHOUSED.format("z")), ("s2", _UNBOUND.format(3, "z"))],
+    (MIXED_B, "constructor"): [("s1", "left-hand side is not a basic term")],
+    (MIXED_B, "pcdctrs"): [
+        ("s1", _UNHOUSED.format("z")),
+        ("s1", "left-hand side is not a basic term"),
+        ("s2", _UNBOUND.format(3, "z")),
+        ("s2", "condition 1 right-hand side is not a constructor term"),
+        ("s2", "condition 2 left-hand side is not a basic term"),
+        ("s2", "condition 2 right-hand side is not a constructor term"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "text, property_name", list(MIXED_REPORTS), ids=[f"{'AB'[t == MIXED_B]}-{p}" for t, p in MIXED_REPORTS]
+)
+def test_validation_findings_keep_their_text_and_order(text, property_name):
+    expected = MIXED_REPORTS[text, property_name]
+    report = validate(parse_system(text), property_name)
+    assert [(f.rule_label, f.message) for f in report.findings] == expected
+    assert bool(report) is report.ok is (not expected)
+    if expected:
+        head = f"{property_name}: {len(expected)} violation(s)"
+        assert str(report) == "\n".join([head] + [f"  [{label}] {m}" for label, m in expected])
+    else:
+        assert str(report) == f"{property_name}: ok"
+
+
 # --- format / round trip ----------------------------------------------------
 
 
@@ -261,9 +322,9 @@ def test_signature_matches_the_two_pass_classification(name):
 @pytest.mark.parametrize("name", ALL_CORPUS_FILES)
 def test_safety_domains_are_those_of_the_rules(name):
     for system in corpus_and_transforms(name):
-        domains = system.safety_domains
-        assert domains == {r.label: safety_domain(r) for r in system.rules}
-        assert system.safety_domains is domains
+        for r in system.rules:
+            assert safety_domain(r) is safety_domain(r)
+            assert safety_domain(r) == ref_safety_domain(r)
 
 
 def test_parse_term_against_system(addfst):
@@ -405,3 +466,21 @@ def test_a_term_with_a_stale_symbol_below_its_root_is_rebuilt():
     rhs = system.rules[1].rhs
     assert rhs.symbol is c and rhs.args[0].symbol is system.signature["g"]
     assert not rhs.constructor and rhs == App(c, (App(g, (x,)),))
+
+
+def test_a_hand_built_rule_rejects_a_variable_lhs_and_keeps_its_conditions_as_a_tuple():
+    f = Symbol("f", 1, DEFINED)
+    with pytest.raises(ParseError) as err:
+        Rule("r", Var("x"), Var("x"))
+    assert type(err.value) is ParseError and str(err.value) == "rule r: left-hand side is a variable"
+    condition = Condition(f(Var("x")), Var("y"))
+    rule = Rule("r", f(Var("x")), Var("y"), [condition])
+    assert rule.conditions == (condition,)
+    assert rule == Rule("r", f(Var("x")), Var("y"), (condition,))
+
+
+def test_system_hash_and_repr(addmult):
+    assert hash(addmult) == hash(addmult.rules)
+    assert hash(RewriteSystem(addmult.rules)) == hash(addmult)
+    assert repr(addmult) == "<RewriteSystem of 4 rules>"
+    assert repr(RewriteSystem([])) == "<RewriteSystem of 0 rules>"

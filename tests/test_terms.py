@@ -501,3 +501,10 @@ def test_walkers_take_terms_past_the_recursion_limit():
     theta = unify(C(x, y), C(_deep(depth, y), nat(depth)))
     assert theta == Subst({"x": nat(2 * depth), "y": nat(depth)})
     assert unify(deep_x, _deep(depth, S(x))) is None
+
+
+def test_subst_length_and_membership_count_only_moved_variables():
+    sigma = Subst({"x": zero, "y": S(zero), "z": Var("z")})
+    assert len(sigma) == 2 and len(Subst()) == 0
+    assert "x" in sigma and "y" in sigma
+    assert "z" not in sigma and "w" not in sigma

@@ -785,24 +785,24 @@ def test_to_pcdctrs_validates_on_every_corpus_input(corpus):
 
 
 def test_compile_chain_validates_the_pcdctrs_once(monkeypatch):
-    # to_pcdctrs validates its output; injectivize and invert read the
-    # cached result instead of validating the same system again.
+    # to_pcdctrs classifies its input and output, once each; injectivize
+    # and invert read the cached reports instead of classifying again.
     import revrw.systems
 
-    original = revrw.systems.validate
+    original = revrw.systems._classify
     calls = []
 
-    def counting(system, property_name):
-        calls.append(property_name)
-        return original(system, property_name)
+    def counting(rules):
+        calls.append(rules)
+        return original(rules)
 
-    monkeypatch.setattr(revrw.systems, "validate", counting)
-    monkeypatch.setattr(transform, "validate", counting)
+    monkeypatch.setattr(revrw.systems, "_classify", counting)
     for name in ("addmult.trs", "view.trs", "zip.trs"):
+        system = load(name)
         calls.clear()
-        pc, _ = to_pcdctrs(load(name))
+        pc, _ = to_pcdctrs(system)
         invert(injectivize(pc))
-        assert calls.count("pcdctrs") == 1, name
+        assert calls == [system.rules, pc.rules], name
 
 
 # --- view_update's rejections -------------------------------------------------
